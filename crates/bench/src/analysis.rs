@@ -340,7 +340,7 @@ mod tests {
         assert_eq!(meta["sequential_wall_s"], json!(2.0));
         assert!(meta["speedup_vs_sequential"].as_f64().unwrap() > 0.0);
         let text = serde_json::to_string(&doc).unwrap();
-        kcb_obs::json::validate(&text).unwrap();
+        kcb_util::json::parse_value(&text).unwrap();
     }
 
     #[test]

@@ -20,19 +20,28 @@
 //! out-of-band of the artifact pipeline — artifact bytes are identical
 //! with or without them (enforced by the determinism suite).
 
-use kcb_bench::cli;
+use kcb_bench::analysis;
+use kcb_bench::cli::{self, Command, EngineOpts, JournalOpts, LabOpts, ObsOpts, SweepMode};
 use kcb_bench::run_meta::{self, RunMetaInputs};
 use kcb_bench::runs;
-use kcb_core::experiment::plan::{run_scheduled, run_scheduled_with, JournalSpec};
+use kcb_core::ckpt::CkptStore;
+use kcb_core::experiment::plan::{run_scheduled, run_scheduled_with, JournalSpec, PlanReport};
+use kcb_core::experiment::sweep::{self, GridSpec};
 use kcb_core::journal;
 use kcb_core::lab::{Lab, LabConfig};
+use kcb_core::report::Artifact;
+use kcb_core::snapshot::{Snapshot, SnapshotSpec};
+use serde_json::Value;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "\
 repro — regenerate the paper's tables and figures
 
 USAGE: repro [ARTIFACT...] [OPTIONS]
+       repro SUBCOMMAND [OPTIONS]
 
 ARTIFACTS:
   all            every artifact in paper order
@@ -74,10 +83,10 @@ SUBCOMMANDS:
                  trained once, so a K-variant sweep costs well under K
                  single runs; writes per-variant tables plus seed-repeat
                  aggregates (Fleiss kappa, Welch t-tests) under
-                 results/analysis/ and the efficiency numbers (shared vs
-                 unique jobs, measured speedup with --baseline) to
-                 results/bench_sweep.json; journaled under the grid
-                 digest, so an interrupted sweep resumes mid-DAG
+                 results/analysis/ (or --out DIR) and the efficiency
+                 numbers (shared vs unique jobs, measured speedup with
+                 --baseline) to results/bench_sweep.json; journaled under
+                 the grid digest, so an interrupted sweep resumes mid-DAG
                    --grid SPEC    the grid, `key=v1,v2;key=...` over keys
                                   seeds / scales / scenarios / paradigms
                                   (sup|ft|icl|all) / oracles / model /
@@ -100,15 +109,16 @@ SUBCOMMANDS:
                    runs diff ID ID    field-by-field manifest comparison,
                                       including per-artifact checksums
 
-OPTIONS:
+OPTIONS (each applies only to the commands it names; passing one to any
+other command is an error):
+ lab options — artifact runs, sweep, serve, serve-bench, bench-query:
   --scale S      ontology scale relative to real ChEBI (default 0.03)
   --seed N       master seed (default 42)
   --threads N    worker threads for the cell scheduler; nested forest /
                  LM kernels share the same pool and yield to cell-level
                  parallelism (default: CPU count, capped at 16);
                  artifacts are byte-identical at any thread count
-  --out DIR      also write one JSON file per artifact into DIR
-  --md FILE      also write a combined Markdown report
+  --fast         tiny smoke-test configuration (seconds, not minutes)
   --cache-dir DIR  persistent checkpoint store for trained providers and
                  derived results (default results/ckpt); a warm cache only
                  changes wall time, never artifact bytes
@@ -118,7 +128,22 @@ OPTIONS:
                  are identical either way, only warm-start time changes
   --cache-cap BYTES  after the run, evict oldest checkpoints until the
                  store fits under BYTES
-  --quant        bench-query only: add the int8-quantized query legs
+ outputs:
+  --out DIR      artifact runs: also write one JSON file per artifact into
+                 DIR; sweep: the analysis-table directory
+  --md FILE      artifact runs: also write a combined Markdown report
+ telemetry — artifact runs, sweep, serve:
+  --trace FILE   write a Chrome trace-event timeline of the run
+  --metrics      write results/run_meta.json (manifest + counters + series)
+  --profile      print per-span wall-time statistics to stdout
+ run journal:
+  --runs-dir DIR artifact runs, sweep, runs: run-journal root (default
+                 results/runs); artifact runs and sweeps journal every
+                 completed job there and resume mid-DAG after an
+                 interruption, byte-identically
+  --no-journal   artifact runs, sweep: disable the run journal
+ subcommand options:
+  --quant        bench-query: add the int8-quantized query legs
   --port N       serve / serve-top: TCP port (default 7878)
   --socket PATH  serve: also listen on a Unix socket (unix only)
   --clients N    serve-bench: concurrent client connections
@@ -131,15 +156,8 @@ OPTIONS:
                  (default 10000)
   --interval-ms N  serve-top: polling interval (default 1000)
   --samples N    serve-top: frames to render; 0 = until daemon exit
-  --runs-dir DIR run-journal root (default results/runs); artifact runs
-                 journal every completed job there and resume mid-DAG
-                 after an interruption, byte-identically
-  --no-journal   disable the run journal for this artifact run
-  --trace FILE   write a Chrome trace-event timeline of the run
-  --metrics      write results/run_meta.json (manifest + counters + series)
-  --profile      print per-span wall-time statistics to stdout
-  --fast         tiny smoke-test configuration (seconds, not minutes)
   --list         list artifact ids with descriptions and exit
+  --help, -h     print this text
 
 FAULT INJECTION:
   KCB_FAULT=abort_after_job:N   abort the process after the Nth journaled
@@ -179,14 +197,6 @@ fn tune_allocator_via_reexec() {
 #[cfg(not(unix))]
 fn tune_allocator_via_reexec() {}
 
-/// Applies `--cache-cap` to the checkpoint store after checkpoints have
-/// been saved, reporting what was evicted in one line.
-fn run_gc(lab: &Lab, cap: Option<u64>) {
-    if let (Some(cap), Some(store)) = (cap, lab.checkpoint_store()) {
-        eprintln!("# {}", store.gc(cap));
-    }
-}
-
 /// Current unix time in milliseconds (run ids and manifest timestamps).
 fn unix_ms() -> u64 {
     std::time::SystemTime::now()
@@ -195,32 +205,344 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Answers a `repro runs` query against the index under `root`.
-fn runs_query(cmd: &cli::RunsCmd, root: &std::path::Path) -> ExitCode {
-    let folded = journal::index_fold(journal::index_load(root));
-    let rendered = match cmd {
-        cli::RunsCmd::List => Ok(runs::render_list(&folded)),
-        cli::RunsCmd::Show(id) => runs::resolve(&folded, id).map(runs::render_show),
-        cli::RunsCmd::Diff(a, b) => runs::resolve(&folded, a).and_then(|ma| {
-            runs::resolve(&folded, b).map(|mb| {
-                // Manifest fields first, then the journal-level answer to
-                // "which inputs changed" (per job, per input entry).
-                let mut out = runs::render_diff(ma, mb);
-                out.push_str(&runs::input_diff_for(root, ma, mb));
-                out
-            })
-        }),
-    };
-    match rendered {
-        Ok(text) => {
-            print!("{text}");
-            ExitCode::SUCCESS
+/// The run-journal root (`--runs-dir`, default `results/runs`).
+fn runs_root(runs_dir: Option<PathBuf>) -> PathBuf {
+    runs_dir.unwrap_or_else(|| Path::new("results").join("runs"))
+}
+
+/// Writes `doc` as pretty JSON to `results/<name>` and reports the path.
+/// Returns the text written, or `None` once the error is reported.
+fn write_result(name: &str, doc: &Value) -> Option<String> {
+    let path = Path::new("results").join(name);
+    let text = serde_json::to_string_pretty(doc).expect("serializable");
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, &text)) {
+        Ok(()) => {
+            eprintln!("# wrote {}", path.display());
+            Some(text)
         }
         Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+            eprintln!("error writing {}: {e}", path.display());
+            None
         }
     }
+}
+
+/// The lab configuration and checkpoint store every lab-building command
+/// starts from.
+struct Setup {
+    cfg: LabConfig,
+    threads: usize,
+    fast: bool,
+    /// FNV-64 of the full configuration, for `run_meta.json`.
+    config_digest: String,
+    store: Arc<CkptStore>,
+    cache_cap: Option<u64>,
+}
+
+impl Setup {
+    /// Applies the lab options; `record` turns the telemetry recorder on
+    /// before any instrumented work.
+    fn new(opts: &LabOpts, record: bool) -> Self {
+        let mut cfg = if opts.fast { LabConfig::tiny() } else { LabConfig::default() };
+        if let Some(s) = opts.scale {
+            cfg.scale = s;
+        }
+        if let Some(s) = opts.seed {
+            cfg.reseed(s);
+        }
+        if let Some(t) = opts.threads {
+            cfg.rf.n_threads = t;
+            // The same pool size drives the LM matmul kernels; results are
+            // bitwise identical at any thread count (see kcb_lm::pool).
+            kcb_lm::pool::set_threads(t);
+        }
+        eprintln!(
+            "# kcb repro — scale {} seed {}{}",
+            cfg.scale,
+            cfg.seed,
+            if opts.fast { " (fast mode)" } else { "" }
+        );
+        // The artifact path never reads telemetry, so recording cannot
+        // change output bytes.
+        if record {
+            kcb_obs::reset();
+            kcb_obs::set_enabled(true);
+        }
+        // Trained providers and derived results persist across runs in a
+        // content-addressed store; a stale or corrupt entry falls back to
+        // retraining, so the cache is purely a wall-clock knob.
+        let cache_dir = opts.cache_dir.clone().unwrap_or_else(|| Path::new("results").join("ckpt"));
+        let mut store =
+            if opts.cold { CkptStore::cold(cache_dir) } else { CkptStore::open(cache_dir) };
+        // Zero-copy warm start is the default; --no-mmap drops to the
+        // decode path (same bytes, more copies).
+        store.set_mmap(!opts.no_mmap);
+        Self {
+            threads: opts.threads.unwrap_or_else(kcb_lm::pool::threads),
+            fast: opts.fast,
+            config_digest: kcb_util::fnv64_hex(format!("{cfg:?}").as_bytes()),
+            cfg,
+            store: Arc::new(store),
+            cache_cap: opts.cache_cap,
+        }
+    }
+
+    /// A lab over this setup's checkpoint store.
+    fn lab(&self) -> Lab {
+        Lab::with_checkpoints(self.cfg.clone(), Arc::clone(&self.store))
+    }
+
+    /// Persists the lab's checkpoints so the next run replays them, then
+    /// applies `--cache-cap`.
+    fn save(&self, lab: &Lab) {
+        lab.save_checkpoints();
+        self.gc();
+    }
+
+    /// Evicts the oldest checkpoints until the store fits `--cache-cap`.
+    fn gc(&self) {
+        if let Some(cap) = self.cache_cap {
+            eprintln!("# {}", self.store.gc(cap));
+        }
+    }
+}
+
+/// A recorded run — `artifacts`, `sweep` or `serve` — from its start to
+/// its exit code: the wall clock, the run-index manifest and the
+/// telemetry exporters.
+struct Run<'a> {
+    setup: &'a Setup,
+    obs: ObsOpts,
+    /// `run_meta.json` manifest mode.
+    mode: &'static str,
+    t0: Instant,
+    /// Runs root and the start manifest, when the run is journaled.
+    index: Option<(PathBuf, journal::RunManifest)>,
+}
+
+impl<'a> Run<'a> {
+    fn new(setup: &'a Setup, obs: ObsOpts, mode: &'static str) -> Self {
+        Self { setup, obs, mode, t0: Instant::now(), index: None }
+    }
+
+    /// Opens the run journal under `digest` unless `--no-journal`, and
+    /// appends the `running` index record that [`Run::finish`] folds
+    /// over. Every completed job is then appended (fsynced) under
+    /// `<runs-dir>/<digest>/`, so a killed run resumes mid-DAG on the next
+    /// invocation with byte-identical output. `KCB_FAULT` injects the
+    /// crash the CI resume test proves this with.
+    fn journal(
+        &mut self,
+        opts: &JournalOpts,
+        digest: &str,
+        ids: Vec<String>,
+    ) -> Result<Option<JournalSpec>, String> {
+        let fault = journal::FaultPlan::from_env()?;
+        if opts.off {
+            return Ok(None);
+        }
+        let root = runs_root(opts.runs_dir.clone());
+        let started = unix_ms();
+        let manifest = journal::RunManifest {
+            run_id: format!("{digest}-{started}"),
+            config_digest: digest.to_string(),
+            seed: self.setup.cfg.seed,
+            scale: self.setup.cfg.scale,
+            threads: self.setup.threads as u64,
+            fast: self.setup.fast,
+            ids,
+            started_unix_ms: started,
+            updated_unix_ms: started,
+            outcome: "running".to_string(),
+            jobs_run: 0,
+            jobs_replayed: 0,
+            resume: false,
+            wall_s: 0.0,
+            artifacts: Vec::new(),
+        };
+        journal::index_append(&root, &manifest);
+        let dir = journal::run_dir(&root, digest);
+        self.index = Some((root, manifest));
+        Ok(Some(JournalSpec { dir, fault }))
+    }
+
+    /// Prints the scheduler and journal summary lines.
+    fn summarize(&self, report: &PlanReport, spec: Option<&JournalSpec>) {
+        let s = &report.scheduler;
+        eprintln!(
+            "# scheduler: {} workers, {} jobs, {} steals, {:.1}s",
+            s.workers,
+            s.jobs.len(),
+            s.steals,
+            s.wall_seconds
+        );
+        let j = &report.journal;
+        if j.enabled {
+            let noun = if self.mode == "sweep" { "sweep" } else { "run" };
+            let resumed = j.resume.then(|| format!(" — resumed an interrupted {noun}"));
+            eprintln!(
+                "# journal: {} appended, {} replayed{} ({})",
+                j.appended,
+                j.replayed,
+                resumed.unwrap_or_default(),
+                spec.map(|s| s.dir.display().to_string()).unwrap_or_default()
+            );
+        }
+    }
+
+    /// Drains the telemetry into the requested exporters, appends the
+    /// terminal index record (so `repro runs list` shows the run as
+    /// complete / failed, or still `running` had it crashed before here),
+    /// and turns `failed` into the exit code.
+    fn finish(
+        self,
+        report: &PlanReport,
+        artifacts: &[(String, Artifact)],
+        serve: Option<Value>,
+        sweep: Option<Value>,
+        mut failed: bool,
+    ) -> ExitCode {
+        let total_secs = self.t0.elapsed().as_secs_f64();
+        // One drain serves all three exporters; after this the recorder is
+        // empty again.
+        let telemetry = kcb_obs::drain();
+        kcb_obs::set_enabled(false);
+        if let Some(path) = &self.obs.trace {
+            let doc = kcb_obs::trace::chrome_trace_string(&telemetry);
+            match std::fs::write(path, &doc) {
+                Ok(()) => eprintln!("# wrote {} ({} spans)", path.display(), telemetry.spans.len()),
+                Err(e) => {
+                    eprintln!("error writing trace {}: {e}", path.display());
+                    failed = true;
+                }
+            }
+        }
+        if self.obs.metrics {
+            let meta = run_meta::run_meta_json(&RunMetaInputs {
+                seed: self.setup.cfg.seed,
+                scale: self.setup.cfg.scale,
+                threads: self.setup.threads,
+                fast: self.setup.fast,
+                mode: self.mode,
+                total_seconds: total_secs,
+                config_digest: self.setup.config_digest.clone(),
+                git_rev: run_meta::git_rev(),
+                report,
+                telemetry: &telemetry,
+                serve,
+                sweep,
+            });
+            match write_result("run_meta.json", &meta) {
+                Some(text) if artifacts.iter().any(|(id, _)| id == "summary") => {
+                    println!("\n## Run metadata (results/run_meta.json)\n{text}");
+                }
+                Some(_) => {}
+                None => failed = true,
+            }
+        }
+        if self.obs.profile {
+            println!("\n## Span profile ({} spans)\n", telemetry.spans.len());
+            print!("{}", kcb_obs::profile::render_table(&telemetry));
+            if !report.checkpoints.is_empty() {
+                println!(
+                    "\n## Checkpoints ({} hits, {} misses)\n",
+                    report.cache.ckpt_hits, report.cache.ckpt_misses
+                );
+                println!("{:<20} {:<18} {:>6} {:>12}", "provider", "key", "state", "bytes");
+                for e in &report.checkpoints {
+                    let state = if e.hit { "hit" } else { "miss" };
+                    println!("{:<20} {:<18} {:>6} {:>12}", e.provider, e.key, state, e.bytes);
+                }
+            }
+        }
+        if let Some((root, mut manifest)) = self.index {
+            manifest.outcome = if failed { "failed" } else { "complete" }.to_string();
+            manifest.updated_unix_ms = unix_ms();
+            manifest.jobs_run = report.journal.appended;
+            manifest.jobs_replayed = report.journal.replayed;
+            manifest.resume = report.journal.resume;
+            manifest.wall_s = total_secs;
+            manifest.artifacts = artifacts
+                .iter()
+                .map(|(id, a)| {
+                    let body = a.to_replay_json().render_json(None);
+                    (id.clone(), journal::fnv64_hex(body.as_bytes()))
+                })
+                .collect();
+            journal::index_append(&root, &manifest);
+        }
+        eprintln!("# total {total_secs:.1}s");
+        if failed {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
+        }
+    }
+}
+
+/// Prints `error: {e}` and fails.
+fn fail(e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {e}");
+    ExitCode::FAILURE
+}
+
+/// `repro ARTIFACT...`: decomposes the requested artifacts into the
+/// dependency-aware cell DAG and runs it; artifacts come back in request
+/// (= canonical) order and are byte-identical at any worker count.
+fn artifacts(
+    s: &Setup,
+    ids: Vec<String>,
+    out: Option<PathBuf>,
+    md: Option<PathBuf>,
+    obs: ObsOpts,
+    jopts: &JournalOpts,
+) -> ExitCode {
+    let lab = s.lab();
+    let mut run = Run::new(s, obs, "artifacts");
+    let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+    let spec = match run.journal(jopts, &lab.config_digest(), ids.clone()) {
+        Ok(spec) => spec,
+        Err(e) => return fail(e),
+    };
+    let (artifacts, report) = run_scheduled_with(&lab, &id_refs, s.threads, spec.as_ref());
+    s.save(&lab);
+    run.summarize(&report, spec.as_ref());
+    eprintln!(
+        "# checkpoints: {} hits, {} misses ({})",
+        report.cache.ckpt_hits,
+        report.cache.ckpt_misses,
+        s.store.dir().display()
+    );
+    for j in &report.scheduler.jobs {
+        if let Some(id) = j.label.strip_prefix("artifact:") {
+            eprintln!("# {id} assembled in {:.1}s", j.seconds);
+        }
+    }
+    let mut markdown = String::from("# kcb reproduction report\n\n");
+    let mut failed = false;
+    for (id, artifact) in &artifacts {
+        println!("{}", artifact.render());
+        markdown.push_str(&artifact.render_markdown());
+        if let Some(dir) = &out {
+            match artifact.write_json(dir) {
+                Ok(path) => eprintln!("# wrote {}", path.display()),
+                Err(e) => {
+                    eprintln!("error writing {id}: {e}");
+                    failed = true;
+                }
+            }
+        }
+    }
+    if let Some(path) = &md {
+        match std::fs::write(path, &markdown) {
+            Ok(()) => eprintln!("# wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("error writing markdown report: {e}");
+                failed = true;
+            }
+        }
+    }
+    run.finish(&report, &artifacts, None, None, failed)
 }
 
 /// `repro sweep --grid SPEC`: compiles the variant grid into one
@@ -229,31 +551,22 @@ fn runs_query(cmd: &cli::RunsCmd, root: &std::path::Path) -> ExitCode {
 /// `--baseline` — re-runs every variant sequentially to measure the
 /// speedup and prove the rows byte-identical.
 fn sweep_cmd(
-    args: &cli::Args,
-    base: LabConfig,
-    store: std::sync::Arc<kcb_core::ckpt::CkptStore>,
-    threads: usize,
-    runs_root: &std::path::Path,
-    config_digest: String,
+    s: &Setup,
+    grid: &GridSpec,
+    mode: SweepMode,
+    out: Option<PathBuf>,
+    obs: ObsOpts,
+    jopts: &JournalOpts,
 ) -> ExitCode {
-    use kcb_bench::analysis;
-    use kcb_core::experiment::sweep;
-
-    // cli::parse validated the spec already; parse again for the value.
-    let grid = match sweep::GridSpec::parse(args.grid.as_deref().unwrap_or_default()) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: --grid: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let splan = sweep::plan(&base, &grid);
-    if args.plan_only {
+    // The sweep compiler builds its own labs (one per seed × scale group)
+    // over the shared store.
+    let splan = sweep::plan(&s.cfg, grid);
+    let SweepMode::Run { baseline } = mode else {
         // Dry run: show what would be deduplicated, schedule nothing.
-        print!("{}", analysis::render_plan(&grid, &splan));
+        print!("{}", analysis::render_plan(grid, &splan));
         return ExitCode::SUCCESS;
-    }
-    let gdigest = format!("sweep-{}", sweep::grid_digest(&base, &grid));
+    };
+    let gdigest = format!("sweep-{}", sweep::grid_digest(&s.cfg, grid));
     eprintln!(
         "# sweep {} — {} variants / {} labs, {} jobs ({} shared, {} unique)",
         grid.render(),
@@ -263,73 +576,24 @@ fn sweep_cmd(
         splan.shared_jobs,
         splan.unique_jobs
     );
-
-    let fault = match journal::FaultPlan::from_env() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut run = Run::new(s, obs, "sweep");
     // The sweep journals under its grid digest (not one variant's config
     // digest) so a resumed sweep finds every variant's completions.
-    let journal_dir =
-        (!args.no_journal).then(|| journal::run_dir(runs_root, &gdigest));
-    let started_ms = unix_ms();
-    let mut manifest = journal::RunManifest {
-        run_id: format!("{gdigest}-{started_ms}"),
-        config_digest: gdigest.clone(),
-        seed: base.seed,
-        scale: base.scale,
-        threads: threads as u64,
-        fast: args.fast,
-        ids: splan.variant_ids.clone(),
-        started_unix_ms: started_ms,
-        updated_unix_ms: started_ms,
-        outcome: "running".to_string(),
-        jobs_run: 0,
-        jobs_replayed: 0,
-        resume: false,
-        wall_s: 0.0,
-        artifacts: Vec::new(),
+    let journal = match run.journal(jopts, &gdigest, splan.variant_ids.clone()) {
+        Ok(journal) => journal,
+        Err(e) => return fail(e),
     };
-    if journal_dir.is_some() {
-        journal::index_append(runs_root, &manifest);
-    }
-
-    let total = Instant::now();
-    let spec = sweep::SweepSpec {
-        workers: threads,
-        journal: journal_dir.clone().map(|dir| JournalSpec { dir, fault }),
-        store: Some(std::sync::Arc::clone(&store)),
-    };
-    let outcome = sweep::run_sweep(&base, &grid, &spec);
-    if let Some(cap) = args.cache_cap {
-        eprintln!("# {}", store.gc(cap));
-    }
-    eprintln!(
-        "# scheduler: {} workers, {} jobs, {} steals, {:.1}s",
-        outcome.report.scheduler.workers,
-        outcome.report.scheduler.jobs.len(),
-        outcome.report.scheduler.steals,
-        outcome.report.scheduler.wall_seconds
-    );
-    if outcome.report.journal.enabled {
-        eprintln!(
-            "# journal: {} appended, {} replayed{} ({})",
-            outcome.report.journal.appended,
-            outcome.report.journal.replayed,
-            if outcome.report.journal.resume { " — resumed an interrupted sweep" } else { "" },
-            journal_dir.as_ref().map(|d| d.display().to_string()).unwrap_or_default()
-        );
-    }
+    let spec = sweep::SweepSpec { workers: s.threads, journal, store: Some(Arc::clone(&s.store)) };
+    let outcome = sweep::run_sweep(&s.cfg, grid, &spec);
+    s.gc();
+    run.summarize(&outcome.report, spec.journal.as_ref());
 
     // The sequential baseline reruns every variant in a fresh lab — the
     // cost a user without the sweep compiler would pay — and doubles as a
     // byte-identity check on the shared-DAG rows.
-    let seq = args.baseline.then(|| {
+    let seq = baseline.then(|| {
         eprintln!("# baseline: running {} variants sequentially…", splan.variant_ids.len());
-        let (per_variant, wall_s) = sweep::run_sequential(&base, &grid);
+        let (per_variant, wall_s) = sweep::run_sequential(&s.cfg, grid);
         analysis::SeqBaseline { per_variant, wall_s }
     });
     let mut failed = false;
@@ -351,10 +615,7 @@ fn sweep_cmd(
     print!("{}", analysis::render_aggregates(&outcome.aggregates));
     print!("{}", analysis::render_significance(&outcome.tests));
 
-    let analysis_dir = args
-        .out
-        .clone()
-        .unwrap_or_else(|| std::path::Path::new("results").join("analysis"));
+    let analysis_dir = out.unwrap_or_else(|| Path::new("results").join("analysis"));
     match analysis::write_analysis(&analysis_dir, &outcome) {
         Ok(()) => eprintln!("# wrote {}/", analysis_dir.display()),
         Err(e) => {
@@ -362,612 +623,282 @@ fn sweep_cmd(
             failed = true;
         }
     }
-    let bench_doc = analysis::bench_sweep_json(&grid, &outcome, seq.as_ref());
-    let bench_path = std::path::Path::new("results").join("bench_sweep.json");
-    let text = serde_json::to_string_pretty(&bench_doc).expect("serializable");
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(&bench_path, &text))
-    {
-        eprintln!("error writing {}: {e}", bench_path.display());
-        failed = true;
-    } else {
-        eprintln!("# wrote {}", bench_path.display());
-    }
+    let bench_doc = analysis::bench_sweep_json(grid, &outcome, seq.as_ref());
+    failed |= write_result("bench_sweep.json", &bench_doc).is_none();
+    let meta = analysis::sweep_meta(grid, &outcome, seq.as_ref());
+    run.finish(&outcome.report, &outcome.artifacts, None, Some(meta), failed)
+}
 
-    let total_secs = total.elapsed().as_secs_f64();
-    let telemetry = kcb_obs::drain();
-    kcb_obs::set_enabled(false);
-    if let Some(path) = &args.trace {
-        let doc = kcb_obs::trace::chrome_trace_string(&telemetry);
-        match std::fs::write(path, &doc) {
-            Ok(()) => eprintln!("# wrote {} ({} spans)", path.display(), telemetry.spans.len()),
-            Err(e) => {
-                eprintln!("error writing trace {}: {e}", path.display());
-                failed = true;
-            }
-        }
-    }
-    if args.metrics {
-        let meta = run_meta::run_meta_json(&RunMetaInputs {
-            seed: base.seed,
-            scale: base.scale,
-            threads,
-            fast: args.fast,
-            mode: "sweep",
-            total_seconds: total_secs,
-            config_digest,
-            git_rev: run_meta::git_rev(),
-            report: &outcome.report,
-            telemetry: &telemetry,
-            serve: None,
-            sweep: Some(analysis::sweep_meta(&grid, &outcome, seq.as_ref())),
+/// `repro serve [ARTIFACT...]`: freezes a snapshot and runs the NDJSON
+/// daemon until a shutdown verb or a signal.
+fn serve(
+    s: &Setup,
+    ids: Vec<String>,
+    port: Option<u16>,
+    socket: Option<PathBuf>,
+    engine: EngineOpts,
+    slow_us: Option<u64>,
+    obs: ObsOpts,
+) -> ExitCode {
+    let lab = s.lab();
+    let run = Run::new(s, obs, "serve");
+    // Assemble any requested artifacts first so the daemon can serve
+    // their JSON payloads by id. (Empty id list → empty DAG, but the
+    // report still feeds run_meta.)
+    let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+    let (preload, report) = run_scheduled(&lab, &id_refs, s.threads);
+    let mut snap = Snapshot::freeze(&lab, SnapshotSpec::default());
+    for (id, artifact) in &preload {
+        let payload = serde_json::json!({
+            "id": artifact.id,
+            "title": artifact.title,
+            "data": artifact.json,
         });
-        let meta_path = std::path::Path::new("results").join("run_meta.json");
-        let text = serde_json::to_string_pretty(&meta).expect("serializable");
-        if let Err(e) = std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write(&meta_path, &text))
-        {
-            eprintln!("error writing {}: {e}", meta_path.display());
-            failed = true;
-        } else {
-            eprintln!("# wrote {}", meta_path.display());
+        snap.add_artifact(id.clone(), payload);
+    }
+    s.save(&lab);
+    // Flight-recorder dumps land next to the other result files.
+    let flight_path = Path::new("results").join("serve_flight.jsonl");
+    let _ = std::fs::create_dir_all("results");
+    let slow_us = slow_us.unwrap_or(10_000);
+    let cfg = kcb_serve::ServerConfig {
+        tcp: Some(format!("127.0.0.1:{}", port.unwrap_or(7878))),
+        socket: socket.clone(),
+        engine: kcb_serve::EngineConfig {
+            workers: s.threads,
+            queue_cap: engine.queue_cap.unwrap_or(4096),
+            batch_max: engine.batch_max.unwrap_or(32),
+            flight: kcb_serve::FlightConfig {
+                path: Some(flight_path.clone()),
+                slow_us,
+                ..Default::default()
+            },
+        },
+    };
+    let server = match kcb_serve::Server::start(Arc::new(snap), &cfg) {
+        Ok(server) => server,
+        Err(e) => {
+            eprintln!("error starting server: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Some(addr) = server.tcp_addr {
+        eprintln!("# serving on tcp://{addr} ({} workers)", s.threads);
+        eprintln!("# scrape GET http://{addr}/metrics (Prometheus) or /health");
+    }
+    if let Some(path) = &socket {
+        eprintln!("# serving on unix:{}", path.display());
+    }
+    eprintln!("# admin verbs: stats / health / flight — watch live with `repro serve-top`");
+    eprintln!("# flight recorder -> {} (slow >= {slow_us}us)", flight_path.display());
+    eprintln!("# stop with: {{\"id\":0,\"op\":\"shutdown\"}} or SIGINT/SIGTERM");
+    // Graceful drain: a signal trips the latch; the poll loop turns it
+    // into the same stop path a shutdown verb takes (acceptors close,
+    // workers drain the queue, the flight recorder flushes).
+    kcb_util::signal::install();
+    while !server.stopped() && !kcb_util::signal::triggered() {
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    if !server.stopped() {
+        eprintln!("# signal — draining queue, flushing flight recorder");
+        server.stop();
+    }
+    // Counters keep moving until the drain finishes inside wait(), which
+    // consumes the server — clone the handles that must report post-drain
+    // values.
+    let live_timing = server.metrics().timing();
+    let uptime_s = server.metrics().uptime_s();
+    let verb_counts = server.metrics().verb_counts();
+    let errors_h = Arc::clone(&server.metrics().errors);
+    let e2e_h = Arc::clone(&server.metrics().e2e_us);
+    let stats = server.wait();
+    let (errors, e2e) = (errors_h.get(), e2e_h.snapshot());
+    eprintln!(
+        "# served {} requests, shed {}, errors {errors}, p99 {}us",
+        stats.served,
+        stats.shed,
+        e2e.percentile(99.0)
+    );
+    let verbs = verb_counts.into_iter().map(|(k, v)| (k.to_string(), serde_json::json!(v)));
+    let verbs = Value::Object(verbs.collect());
+    let e2e_json = serde_json::json!({
+        "count": e2e.count(),
+        "sum_us": e2e.sum,
+        "max_us": e2e.max,
+        "p50_us": e2e.percentile(50.0),
+        "p95_us": e2e.percentile(95.0),
+        "p99_us": e2e.percentile(99.0),
+    });
+    let summary = serde_json::json!({
+        "served": stats.served,
+        "shed": stats.shed,
+        "errors": errors,
+        "uptime_s": uptime_s,
+        "live_timing": live_timing,
+        "verbs": verbs,
+        "e2e": e2e_json,
+    });
+    run.finish(&report, &[], Some(summary), None, false)
+}
+
+/// `repro serve-bench`: the serving load harness over a frozen snapshot.
+fn serve_bench(
+    s: &Setup,
+    clients: Option<usize>,
+    requests: Option<usize>,
+    engine: EngineOpts,
+) -> ExitCode {
+    let lab = s.lab();
+    let snap = Snapshot::freeze(&lab, SnapshotSpec::default());
+    s.save(&lab);
+    let mut bcfg = kcb_serve::bench::BenchConfig::sized(s.threads, s.cfg.seed, s.fast);
+    bcfg.clients = clients.unwrap_or(bcfg.clients);
+    bcfg.requests = requests.unwrap_or(bcfg.requests);
+    bcfg.queue_cap = engine.queue_cap.unwrap_or(bcfg.queue_cap);
+    bcfg.batch_max = engine.batch_max.unwrap_or(bcfg.batch_max);
+    let doc = kcb_serve::bench::run(Arc::new(snap), &bcfg);
+    let served = &doc["served"];
+    eprintln!(
+        "# served: {} reqs in {:.2}s — {:.0} qps ({:.0} qps/core), p50 {:.0}us p99 {:.0}us, shed {}",
+        served["requests"],
+        served["wall_s"].as_f64().unwrap_or(0.0),
+        served["qps"].as_f64().unwrap_or(0.0),
+        served["qps_per_core"].as_f64().unwrap_or(0.0),
+        served["p50_us"].as_f64().unwrap_or(0.0),
+        served["p99_us"].as_f64().unwrap_or(0.0),
+        served["shed"],
+    );
+    eprintln!(
+        "# serial: {:.0} qps — speedup {:.1}x, byte_identical {}",
+        doc["serial"]["qps"].as_f64().unwrap_or(0.0),
+        doc["speedup_vs_serial"].as_f64().unwrap_or(0.0),
+        doc["byte_identical"],
+    );
+    if write_result("bench_serve.json", &doc).is_none() {
+        return ExitCode::FAILURE;
+    }
+    // A checksum mismatch between the batched and serial paths is a
+    // determinism breach, not a performance number.
+    if doc["byte_identical"] != serde_json::json!(true) {
+        return fail("served replies differ from the serial reference");
+    }
+    ExitCode::SUCCESS
+}
+
+/// `repro bench-query`: the query-path microbenchmark (plus, with
+/// `--quant`, the int8 calibration audit).
+fn bench_query(s: &Setup, quant: bool) -> ExitCode {
+    let lab = s.lab();
+    let doc = kcb_bench::bench_query::run(&lab, quant, s.threads, s.fast);
+    if quant {
+        // Prove metric parity of the int8 legs rather than assume it.
+        let calib = kcb_core::experiment::quant::calibrate(&lab);
+        if write_result("quant_calibration.json", &calib).is_none() {
+            return ExitCode::FAILURE;
+        }
+        let pass = calib["pass"] == serde_json::json!(true);
+        eprintln!("# calibration: {}", if pass { "pass" } else { "FAIL" });
+    }
+    s.save(&lab);
+    if let Some(kinds) = doc["kinds"].as_object() {
+        for (kind, row) in kinds {
+            eprintln!(
+                "# {kind}: {} queries, {:.0} qps/core, p50 {:.1}us p99 {:.1}us",
+                row["count"],
+                row["qps_per_core"].as_f64().unwrap_or(0.0),
+                row["p50_s"].as_f64().unwrap_or(0.0) * 1e6,
+                row["p99_s"].as_f64().unwrap_or(0.0) * 1e6,
+            );
         }
     }
-    if args.profile {
-        println!("\n## Span profile ({} spans)\n", telemetry.spans.len());
-        print!("{}", kcb_obs::profile::render_table(&telemetry));
+    if write_result("bench_query.json", &doc).is_none() {
+        return ExitCode::FAILURE;
     }
-    if journal_dir.is_some() {
-        manifest.outcome = if failed { "failed" } else { "complete" }.to_string();
-        manifest.updated_unix_ms = unix_ms();
-        manifest.jobs_run = outcome.report.journal.appended;
-        manifest.jobs_replayed = outcome.report.journal.replayed;
-        manifest.resume = outcome.report.journal.resume;
-        manifest.wall_s = total_secs;
-        manifest.artifacts = outcome
-            .artifacts
-            .iter()
-            .map(|(id, a)| {
-                let body = a.to_replay_json().render_json(None);
-                (id.clone(), journal::fnv64_hex(body.as_bytes()))
+    ExitCode::SUCCESS
+}
+
+/// `repro serve-top`: a pure client — attaches to a daemon's stats verb,
+/// no lab needed.
+fn serve_top(port: Option<u16>, interval_ms: Option<u64>, samples: Option<u64>) -> ExitCode {
+    kcb_util::signal::install();
+    let addr = format!("127.0.0.1:{}", port.unwrap_or(7878));
+    let interval = std::time::Duration::from_millis(interval_ms.unwrap_or(1000));
+    eprintln!("# serve-top — polling {addr} every {}ms (Ctrl-C to stop)", interval.as_millis());
+    match kcb_bench::serve_top::run(&addr, interval, samples.unwrap_or(0), &mut std::io::stdout()) {
+        Ok(frames) => {
+            eprintln!("# {frames} frames");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error polling {addr}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `repro runs ...`: answers an index query — no lab, no training, no
+/// journal writes.
+fn runs_query(cmd: &cli::RunsCmd, root: &Path) -> ExitCode {
+    let folded = journal::index_fold(journal::index_load(root));
+    let rendered = match cmd {
+        cli::RunsCmd::List => Ok(runs::render_list(&folded)),
+        cli::RunsCmd::Show(id) => runs::resolve(&folded, id).map(runs::render_show),
+        cli::RunsCmd::Diff(a, b) => runs::resolve(&folded, a).and_then(|ma| {
+            runs::resolve(&folded, b).map(|mb| {
+                // Manifest fields first, then the journal-level answer to
+                // "which inputs changed" (per job, per input entry).
+                let mut out = runs::render_diff(ma, mb);
+                out.push_str(&runs::input_diff_for(root, ma, mb));
+                out
             })
-            .collect();
-        journal::index_append(runs_root, &manifest);
-    }
-    eprintln!("# total {total_secs:.1}s");
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        }),
+    };
+    match rendered {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => fail(e),
     }
 }
 
 fn main() -> ExitCode {
     tune_allocator_via_reexec();
-    let args = match cli::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
+    let cmd = match cli::parse(std::env::args().skip(1)) {
+        Ok(cmd) => cmd,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    if args.help {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if args.list {
-        let ids = cli::known_ids();
-        let width = ids.iter().map(|id| id.len()).max().unwrap_or(0);
-        for id in ids {
-            let what = kcb_core::experiment::describe(id).unwrap_or("");
-            println!("{id:width$}  {what}");
+    match cmd {
+        Command::Help => {
+            println!("{USAGE}");
+            ExitCode::SUCCESS
         }
-        return ExitCode::SUCCESS;
-    }
-    let runs_root =
-        args.runs_dir.clone().unwrap_or_else(|| std::path::Path::new("results").join("runs"));
-    if let Some(cmd) = &args.runs {
-        // Pure index queries: no lab, no training, no journal writes.
-        return runs_query(cmd, &runs_root);
-    }
-    if args.serve_top {
-        // Pure client: attach to a daemon's stats verb, no lab needed.
-        kcb_util::signal::install();
-        let addr = format!("127.0.0.1:{}", args.port.unwrap_or(7878));
-        let interval = std::time::Duration::from_millis(args.interval_ms.unwrap_or(1000));
-        let samples = args.samples.unwrap_or(0);
-        eprintln!("# serve-top — polling {addr} every {}ms (Ctrl-C to stop)", interval.as_millis());
-        return match kcb_bench::serve_top::run(&addr, interval, samples, &mut std::io::stdout()) {
-            Ok(frames) => {
-                eprintln!("# {frames} frames");
-                ExitCode::SUCCESS
+        Command::List => {
+            let ids = cli::known_ids();
+            let width = ids.iter().map(|id| id.len()).max().unwrap_or(0);
+            for id in ids {
+                let what = kcb_core::experiment::describe(id).unwrap_or("");
+                println!("{id:width$}  {what}");
             }
-            Err(e) => {
-                eprintln!("error polling {addr}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let mut ids: Vec<String> = args.ids.clone();
-    if ids.is_empty() && !(args.bench_query || args.serve || args.serve_bench || args.sweep) {
-        eprintln!("no artifacts requested\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
-    cli::expand_aliases(&mut ids);
-    // Reject unknown ids before building the DAG (run_scheduled skips
-    // silently, mirroring experiment::run returning None).
-    if let Err(e) = cli::validate_ids(&ids) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    let mut cfg = if args.fast { LabConfig::tiny() } else { LabConfig::default() };
-    if let Some(s) = args.scale {
-        cfg.scale = s;
-    }
-    if let Some(s) = args.seed {
-        cfg.reseed(s);
-    }
-    if let Some(t) = args.threads {
-        cfg.rf.n_threads = t;
-        // The same pool size drives the LM matmul kernels; results are
-        // bitwise identical at any thread count (see kcb_lm::pool).
-        kcb_lm::pool::set_threads(t);
-    }
-    eprintln!(
-        "# kcb repro — scale {} seed {}{}",
-        cfg.scale,
-        cfg.seed,
-        if args.fast { " (fast mode)" } else { "" }
-    );
-
-    // Turn the recorder on before any instrumented work; the artifact
-    // path never reads telemetry, so this cannot change output bytes.
-    if args.wants_telemetry() {
-        kcb_obs::reset();
-        kcb_obs::set_enabled(true);
-    }
-
-    let threads = args.threads.unwrap_or_else(kcb_lm::pool::threads);
-    let (scale, seed) = (cfg.scale, cfg.seed);
-    let config_digest = run_meta::fnv64_hex(format!("{cfg:?}").as_bytes());
-    // Trained providers and derived results persist across runs in a
-    // content-addressed store; a stale or corrupt entry falls back to
-    // retraining, so the cache is purely a wall-clock knob.
-    let cache_dir =
-        args.cache_dir.clone().unwrap_or_else(|| std::path::Path::new("results").join("ckpt"));
-    let mut store = if args.cold {
-        kcb_core::ckpt::CkptStore::cold(cache_dir)
-    } else {
-        kcb_core::ckpt::CkptStore::open(cache_dir)
-    };
-    // Zero-copy warm start is the default; --no-mmap drops to the decode
-    // path (same bytes, more copies).
-    store.set_mmap(!args.no_mmap);
-    let store = std::sync::Arc::new(store);
-    if args.sweep {
-        // The sweep compiler builds its own labs (one per seed × scale
-        // group) over this shared store; the single-lab path below never
-        // runs.
-        return sweep_cmd(&args, cfg, store, threads, &runs_root, config_digest);
-    }
-    let lab = Lab::with_checkpoints(cfg, store);
-
-    if args.serve {
-        // Assemble any requested artifacts first so the daemon can serve
-        // their JSON payloads by id. (Empty id list → empty DAG, but the
-        // report still feeds run_meta below.)
-        let serve_t0 = Instant::now();
-        let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-        let (preload, report) = run_scheduled(&lab, &id_refs, threads);
-        let mut snap =
-            kcb_core::snapshot::Snapshot::freeze(&lab, kcb_core::snapshot::SnapshotSpec::default());
-        for (id, artifact) in &preload {
-            let payload = serde_json::json!({
-                "id": artifact.id,
-                "title": artifact.title,
-                "data": artifact.json,
-            });
-            snap.add_artifact(id.clone(), payload);
+            ExitCode::SUCCESS
         }
-        lab.save_checkpoints();
-        run_gc(&lab, args.cache_cap);
-        // Flight-recorder dumps land next to the other result files.
-        let flight_path = std::path::Path::new("results").join("serve_flight.jsonl");
-        let _ = std::fs::create_dir_all("results");
-        let cfg = kcb_serve::ServerConfig {
-            tcp: Some(format!("127.0.0.1:{}", args.port.unwrap_or(7878))),
-            socket: args.socket.clone(),
-            engine: kcb_serve::EngineConfig {
-                workers: threads,
-                queue_cap: args.queue_cap.unwrap_or(4096),
-                batch_max: args.batch_max.unwrap_or(32),
-                flight: kcb_serve::FlightConfig {
-                    path: Some(flight_path.clone()),
-                    slow_us: args.slow_us.unwrap_or(10_000),
-                    ..Default::default()
-                },
-            },
-        };
-        let server = match kcb_serve::Server::start(std::sync::Arc::new(snap), &cfg) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error starting server: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Some(addr) = server.tcp_addr {
-            eprintln!("# serving on tcp://{addr} ({} workers)", threads);
-            eprintln!("# scrape GET http://{addr}/metrics (Prometheus) or /health");
+        Command::Runs { query, runs_dir } => runs_query(&query, &runs_root(runs_dir)),
+        Command::ServeTop { port, interval_ms, samples } => serve_top(port, interval_ms, samples),
+        Command::Artifacts { lab, ids, out, md, obs, journal } => {
+            artifacts(&Setup::new(&lab, obs.wanted()), ids, out, md, obs, &journal)
         }
-        if let Some(path) = &args.socket {
-            eprintln!("# serving on unix:{}", path.display());
+        Command::Sweep { lab, grid, mode, out, obs, journal } => {
+            sweep_cmd(&Setup::new(&lab, obs.wanted()), &grid, mode, out, obs, &journal)
         }
-        eprintln!("# admin verbs: stats / health / flight — watch live with `repro serve-top`");
-        eprintln!("# flight recorder -> {} (slow >= {}us)", flight_path.display(), args.slow_us.unwrap_or(10_000));
-        eprintln!("# stop with: {{\"id\":0,\"op\":\"shutdown\"}} or SIGINT/SIGTERM");
-        // Graceful drain: a signal trips the latch; the poll loop turns it
-        // into the same stop path a shutdown verb takes (acceptors close,
-        // workers drain the queue, the flight recorder flushes).
-        kcb_util::signal::install();
-        while !server.stopped() && !kcb_util::signal::triggered() {
-            std::thread::sleep(std::time::Duration::from_millis(25));
+        Command::Serve { lab, ids, port, socket, engine, slow_us, obs } => {
+            serve(&Setup::new(&lab, obs.wanted()), ids, port, socket, engine, slow_us, obs)
         }
-        if !server.stopped() {
-            eprintln!("# signal — draining queue, flushing flight recorder");
-            server.stop();
+        Command::ServeBench { lab, clients, requests, engine } => {
+            serve_bench(&Setup::new(&lab, false), clients, requests, engine)
         }
-        // Counters keep moving until the drain finishes inside wait(),
-        // which consumes the server — clone the handles that must report
-        // post-drain values.
-        let live_timing = server.metrics().timing();
-        let uptime_s = server.metrics().uptime_s();
-        let verb_counts = server.metrics().verb_counts();
-        let errors_h = std::sync::Arc::clone(&server.metrics().errors);
-        let e2e_h = std::sync::Arc::clone(&server.metrics().e2e_us);
-        let stats = server.wait();
-        let (errors, e2e) = (errors_h.get(), e2e_h.snapshot());
-        eprintln!(
-            "# served {} requests, shed {}, errors {errors}, p99 {}us",
-            stats.served,
-            stats.shed,
-            e2e.percentile(99.0)
-        );
-        if args.metrics {
-            let telemetry = kcb_obs::drain();
-            kcb_obs::set_enabled(false);
-            let verbs = serde_json::Value::Object(
-                verb_counts
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), serde_json::json!(v)))
-                    .collect(),
-            );
-            let e2e_json = serde_json::json!({
-                "count": e2e.count(),
-                "sum_us": e2e.sum,
-                "max_us": e2e.max,
-                "p50_us": e2e.percentile(50.0),
-                "p95_us": e2e.percentile(95.0),
-                "p99_us": e2e.percentile(99.0),
-            });
-            let summary = serde_json::json!({
-                "served": stats.served,
-                "shed": stats.shed,
-                "errors": errors,
-                "uptime_s": uptime_s,
-                "live_timing": live_timing,
-                "verbs": verbs,
-                "e2e": e2e_json,
-            });
-            let meta = run_meta::run_meta_json(&RunMetaInputs {
-                seed,
-                scale,
-                threads,
-                fast: args.fast,
-                mode: "serve",
-                total_seconds: serve_t0.elapsed().as_secs_f64(),
-                config_digest,
-                git_rev: run_meta::git_rev(),
-                report: &report,
-                telemetry: &telemetry,
-                serve: Some(summary),
-                sweep: None,
-            });
-            let meta_path = std::path::Path::new("results").join("run_meta.json");
-            let text = serde_json::to_string_pretty(&meta).expect("serializable");
-            if let Err(e) = std::fs::write(&meta_path, &text) {
-                eprintln!("error writing {}: {e}", meta_path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("# wrote {}", meta_path.display());
-        }
-        return ExitCode::SUCCESS;
-    }
-    if args.serve_bench {
-        let snap =
-            kcb_core::snapshot::Snapshot::freeze(&lab, kcb_core::snapshot::SnapshotSpec::default());
-        lab.save_checkpoints();
-        run_gc(&lab, args.cache_cap);
-        let mut bcfg = kcb_serve::bench::BenchConfig::sized(threads, seed, args.fast);
-        if let Some(c) = args.clients {
-            bcfg.clients = c;
-        }
-        if let Some(r) = args.requests {
-            bcfg.requests = r;
-        }
-        if let Some(q) = args.queue_cap {
-            bcfg.queue_cap = q;
-        }
-        if let Some(b) = args.batch_max {
-            bcfg.batch_max = b;
-        }
-        let doc = kcb_serve::bench::run(std::sync::Arc::new(snap), &bcfg);
-        let path = std::path::Path::new("results").join("bench_serve.json");
-        let text = serde_json::to_string_pretty(&doc).expect("serializable");
-        if let Err(e) =
-            std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, &text))
-        {
-            eprintln!("error writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        let served = &doc["served"];
-        eprintln!(
-            "# served: {} reqs in {:.2}s — {:.0} qps ({:.0} qps/core), p50 {:.0}us p99 {:.0}us, shed {}",
-            served["requests"],
-            served["wall_s"].as_f64().unwrap_or(0.0),
-            served["qps"].as_f64().unwrap_or(0.0),
-            served["qps_per_core"].as_f64().unwrap_or(0.0),
-            served["p50_us"].as_f64().unwrap_or(0.0),
-            served["p99_us"].as_f64().unwrap_or(0.0),
-            served["shed"],
-        );
-        eprintln!(
-            "# serial: {:.0} qps — speedup {:.1}x, byte_identical {}",
-            doc["serial"]["qps"].as_f64().unwrap_or(0.0),
-            doc["speedup_vs_serial"].as_f64().unwrap_or(0.0),
-            doc["byte_identical"],
-        );
-        eprintln!("# wrote {}", path.display());
-        // A checksum mismatch between the batched and serial paths is a
-        // determinism breach, not a performance number.
-        if doc["byte_identical"] != serde_json::json!(true) {
-            eprintln!("error: served replies differ from the serial reference");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-    if args.bench_query {
-        let doc = kcb_bench::bench_query::run(&lab, args.quant, threads, args.fast);
-        if args.quant {
-            // Prove metric parity of the int8 legs rather than assume it.
-            let calib = kcb_core::experiment::quant::calibrate(&lab);
-            let path = std::path::Path::new("results").join("quant_calibration.json");
-            let text = serde_json::to_string_pretty(&calib).expect("serializable");
-            if let Err(e) = std::fs::create_dir_all("results")
-                .and_then(|()| std::fs::write(&path, &text))
-            {
-                eprintln!("error writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "# calibration: {} (wrote {})",
-                if calib["pass"] == serde_json::json!(true) { "pass" } else { "FAIL" },
-                path.display()
-            );
-        }
-        lab.save_checkpoints();
-        run_gc(&lab, args.cache_cap);
-        let path = std::path::Path::new("results").join("bench_query.json");
-        let text = serde_json::to_string_pretty(&doc).expect("serializable");
-        if let Err(e) = std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write(&path, &text))
-        {
-            eprintln!("error writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        if let Some(kinds) = doc["kinds"].as_object() {
-            for (kind, row) in kinds {
-                eprintln!(
-                    "# {kind}: {} queries, {:.0} qps/core, p50 {:.1}us p99 {:.1}us",
-                    row["count"],
-                    row["qps_per_core"].as_f64().unwrap_or(0.0),
-                    row["p50_s"].as_f64().unwrap_or(0.0) * 1e6,
-                    row["p99_s"].as_f64().unwrap_or(0.0) * 1e6,
-                );
-            }
-        }
-        eprintln!("# wrote {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-    let total = Instant::now();
-    let mut markdown = String::from("# kcb reproduction report\n\n");
-    let mut failed = false;
-
-    // Run journal: every completed job is appended (fsynced) under
-    // results/runs/<config-digest>/, so a killed run resumes mid-DAG on
-    // the next invocation with byte-identical artifacts. KCB_FAULT
-    // injects the crash the CI resume test proves this with.
-    let fault = match journal::FaultPlan::from_env() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let spec = (!args.no_journal).then(|| JournalSpec {
-        dir: journal::run_dir(&runs_root, &lab.config_digest()),
-        fault,
-    });
-    let started_ms = unix_ms();
-    let run_id = format!("{}-{started_ms}", lab.config_digest());
-    let mut manifest = journal::RunManifest {
-        run_id,
-        config_digest: lab.config_digest(),
-        seed,
-        scale,
-        threads: threads as u64,
-        fast: args.fast,
-        ids: ids.clone(),
-        started_unix_ms: started_ms,
-        updated_unix_ms: started_ms,
-        outcome: "running".to_string(),
-        jobs_run: 0,
-        jobs_replayed: 0,
-        resume: false,
-        wall_s: 0.0,
-        artifacts: Vec::new(),
-    };
-    if spec.is_some() {
-        journal::index_append(&runs_root, &manifest);
-    }
-
-    // Decompose the requested artifacts into the dependency-aware cell
-    // DAG and run it; artifacts come back in request (= canonical) order
-    // and are byte-identical at any worker count.
-    let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-    let (artifacts, report) = run_scheduled_with(&lab, &id_refs, threads, spec.as_ref());
-    // Persist the union of loaded + freshly computed derived results so
-    // the next run replays them.
-    lab.save_checkpoints();
-    run_gc(&lab, args.cache_cap);
-    eprintln!(
-        "# scheduler: {} workers, {} jobs, {} steals, {:.1}s",
-        report.scheduler.workers,
-        report.scheduler.jobs.len(),
-        report.scheduler.steals,
-        report.scheduler.wall_seconds
-    );
-    if report.journal.enabled {
-        eprintln!(
-            "# journal: {} appended, {} replayed{} ({})",
-            report.journal.appended,
-            report.journal.replayed,
-            if report.journal.resume { " — resumed an interrupted run" } else { "" },
-            spec.as_ref().map(|s| s.dir.display().to_string()).unwrap_or_default()
-        );
-    }
-    eprintln!(
-        "# checkpoints: {} hits, {} misses ({})",
-        report.cache.ckpt_hits,
-        report.cache.ckpt_misses,
-        lab.checkpoint_store().map(|s| s.dir().display().to_string()).unwrap_or_default()
-    );
-    for j in &report.scheduler.jobs {
-        if let Some(id) = j.label.strip_prefix("artifact:") {
-            eprintln!("# {id} assembled in {:.1}s", j.seconds);
-        }
-    }
-    for (id, artifact) in &artifacts {
-        println!("{}", artifact.render());
-        markdown.push_str(&artifact.render_markdown());
-        if let Some(dir) = &args.out {
-            match artifact.write_json(dir) {
-                Ok(path) => eprintln!("# wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("error writing {id}: {e}");
-                    failed = true;
-                }
-            }
-        }
-    }
-    if let Some(path) = &args.md {
-        match std::fs::write(path, &markdown) {
-            Ok(()) => eprintln!("# wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error writing markdown report: {e}");
-                failed = true;
-            }
-        }
-    }
-    let total_secs = total.elapsed().as_secs_f64();
-
-    // One drain serves all three exporters; after this the recorder is
-    // empty again.
-    let telemetry = kcb_obs::drain();
-    kcb_obs::set_enabled(false);
-
-    if let Some(path) = &args.trace {
-        let doc = kcb_obs::trace::chrome_trace_string(&telemetry);
-        match std::fs::write(path, &doc) {
-            Ok(()) => eprintln!("# wrote {} ({} spans)", path.display(), telemetry.spans.len()),
-            Err(e) => {
-                eprintln!("error writing trace {}: {e}", path.display());
-                failed = true;
-            }
-        }
-    }
-    if args.metrics {
-        let meta = run_meta::run_meta_json(&RunMetaInputs {
-            seed,
-            scale,
-            threads,
-            fast: args.fast,
-            mode: "artifacts",
-            total_seconds: total_secs,
-            config_digest,
-            git_rev: run_meta::git_rev(),
-            report: &report,
-            telemetry: &telemetry,
-            serve: None,
-            sweep: None,
-        });
-        let meta_path = std::path::Path::new("results").join("run_meta.json");
-        let text = serde_json::to_string_pretty(&meta).expect("serializable");
-        if let Err(e) = std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write(&meta_path, &text))
-        {
-            eprintln!("error writing {}: {e}", meta_path.display());
-            failed = true;
-        } else {
-            eprintln!("# wrote {}", meta_path.display());
-        }
-        if ids.iter().any(|id| id == "summary") {
-            println!("\n## Run metadata ({})\n{text}", meta_path.display());
-        }
-    }
-    if args.profile {
-        println!("\n## Span profile ({} spans)\n", telemetry.spans.len());
-        print!("{}", kcb_obs::profile::render_table(&telemetry));
-        if !report.checkpoints.is_empty() {
-            println!(
-                "\n## Checkpoints ({} hits, {} misses)\n",
-                report.cache.ckpt_hits, report.cache.ckpt_misses
-            );
-            println!("{:<20} {:<18} {:>6} {:>12}", "provider", "key", "state", "bytes");
-            for e in &report.checkpoints {
-                println!(
-                    "{:<20} {:<18} {:>6} {:>12}",
-                    e.provider,
-                    e.key,
-                    if e.hit { "hit" } else { "miss" },
-                    e.bytes
-                );
-            }
-        }
-    }
-    // Terminal index record: folds over the start record, so `repro runs
-    // list` shows this run as complete/failed — or still `running` if we
-    // crashed before reaching here.
-    if spec.is_some() {
-        manifest.outcome = if failed { "failed" } else { "complete" }.to_string();
-        manifest.updated_unix_ms = unix_ms();
-        manifest.jobs_run = report.journal.appended;
-        manifest.jobs_replayed = report.journal.replayed;
-        manifest.resume = report.journal.resume;
-        manifest.wall_s = total_secs;
-        manifest.artifacts = artifacts
-            .iter()
-            .map(|(id, a)| {
-                let body = a.to_replay_json().render_json(None);
-                (id.clone(), journal::fnv64_hex(body.as_bytes()))
-            })
-            .collect();
-        journal::index_append(&runs_root, &manifest);
-    }
-    eprintln!("# total {:.1}s", total_secs);
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        Command::BenchQuery { lab, quant } => bench_query(&Setup::new(&lab, false), quant),
     }
 }

@@ -4,92 +4,117 @@
 //! every rejection path are unit-testable: `repro` itself only turns a
 //! returned `Err` into an exit code. Errors are one-liners that name the
 //! offending value — the binary appends the usage text.
+//!
+//! [`parse`] returns one [`Command`] whose variant carries only the
+//! options that command reads. Which flags a command accepts is decided
+//! in one place, the [`FLAGS`] table: a flag given to a command that does
+//! not read it is an error naming the commands it does apply to.
 
+use kcb_core::experiment::sweep::GridSpec;
 use std::path::PathBuf;
 
-/// Parsed `repro` command line.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Args {
-    /// Requested artifact ids, in order (aliases not yet expanded).
-    pub ids: Vec<String>,
-    /// `--scale`: ontology scale override.
-    pub scale: Option<f64>,
-    /// `--seed`: master-seed override.
-    pub seed: Option<u64>,
-    /// `--threads`: scheduler worker count override.
-    pub threads: Option<usize>,
-    /// `--out`: per-artifact JSON output directory.
-    pub out: Option<PathBuf>,
-    /// `--md`: combined Markdown report path.
-    pub md: Option<PathBuf>,
-    /// `--trace`: Chrome trace-event timeline output path.
-    pub trace: Option<PathBuf>,
-    /// `--metrics`: write `results/run_meta.json`.
-    pub metrics: bool,
-    /// `--profile`: print the span profile table to stdout.
-    pub profile: bool,
-    /// `--fast`: tiny smoke-test configuration.
-    pub fast: bool,
-    /// `--cache-dir`: checkpoint-store directory (default `results/ckpt`).
-    pub cache_dir: Option<PathBuf>,
-    /// `--cold`: ignore existing checkpoints, retrain and overwrite them.
-    pub cold: bool,
-    /// `bench-query`: run the query-path microbenchmark instead of
-    /// assembling artifacts.
-    pub bench_query: bool,
-    /// `serve`: freeze a snapshot and run the NDJSON daemon.
-    pub serve: bool,
-    /// `serve-bench`: run the serving-engine load harness and write
-    /// `results/bench_serve.json`.
-    pub serve_bench: bool,
-    /// `serve-top`: poll a running daemon's `stats` verb and render a
-    /// refreshing terminal table.
-    pub serve_top: bool,
-    /// `--interval-ms`: polling interval for `serve-top` (default 1000).
-    pub interval_ms: Option<u64>,
-    /// `--samples`: number of `serve-top` frames (0 = until shutdown).
-    pub samples: Option<u64>,
-    /// `--slow-us`: flight-recorder slow-request threshold for `serve`.
-    pub slow_us: Option<u64>,
-    /// `--port`: TCP port for `serve` / `serve-top` (default 7878).
-    pub port: Option<u16>,
-    /// `--socket`: Unix-socket path for `serve` (unix only).
-    pub socket: Option<PathBuf>,
-    /// `--clients`: concurrent client connections for `serve-bench`.
-    pub clients: Option<usize>,
-    /// `--requests`: requests per client for `serve-bench`.
-    pub requests: Option<usize>,
-    /// `--queue-cap`: bounded request-queue capacity (admission control).
-    pub queue_cap: Option<usize>,
-    /// `--batch-max`: largest micro-batch a worker drains at once.
-    pub batch_max: Option<usize>,
-    /// `--quant`: add the int8-quantized legs to `bench-query`.
-    pub quant: bool,
-    /// `--no-mmap`: disable zero-copy mmap checkpoint loading (decode
-    /// containers through the byte reader instead).
-    pub no_mmap: bool,
-    /// `--cache-cap BYTES`: evict oldest checkpoints until the store fits.
-    pub cache_cap: Option<u64>,
-    /// `sweep`: compile a variant grid into one structure-shared DAG.
-    pub sweep: bool,
-    /// `--grid`: sweep grid spec (`seeds=7,8;scenarios=0,2;...`), parsed
-    /// and validated here.
-    pub grid: Option<String>,
-    /// `--plan`: print the sweep dedup plan and exit without running.
-    pub plan_only: bool,
-    /// `--baseline`: also run each variant sequentially in a fresh lab
-    /// and record the measured speedup in `results/bench_sweep.json`.
-    pub baseline: bool,
-    /// `runs [list|show|diff]`: query the run index instead of running.
-    pub runs: Option<RunsCmd>,
-    /// `--runs-dir`: run-journal root (default `results/runs`).
-    pub runs_dir: Option<PathBuf>,
-    /// `--no-journal`: disable run journaling for this artifact run.
-    pub no_journal: bool,
+/// A parsed `repro` command line. `None` options take the defaults that
+/// `repro --help` lists.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Command {
+    /// `repro ARTIFACT...`: `ids` in request order with aliases expanded,
+    /// never empty; `--out` per-artifact JSON directory, `--md` report.
+    Artifacts {
+        lab: LabOpts,
+        ids: Vec<String>,
+        out: Option<PathBuf>,
+        md: Option<PathBuf>,
+        obs: ObsOpts,
+        journal: JournalOpts,
+    },
+    /// `repro sweep --grid SPEC`; `--out` is the analysis-table directory.
+    Sweep {
+        lab: LabOpts,
+        grid: GridSpec,
+        mode: SweepMode,
+        out: Option<PathBuf>,
+        obs: ObsOpts,
+        journal: JournalOpts,
+    },
+    /// `repro serve [ARTIFACT...]`: the daemon, preloading `ids`.
+    Serve {
+        lab: LabOpts,
+        ids: Vec<String>,
+        port: Option<u16>,
+        socket: Option<PathBuf>,
+        engine: EngineOpts,
+        slow_us: Option<u64>,
+        obs: ObsOpts,
+    },
+    /// `repro serve-bench`: the serving load harness.
+    ServeBench { lab: LabOpts, clients: Option<usize>, requests: Option<usize>, engine: EngineOpts },
+    /// `repro serve-top`: poll a running daemon's `stats` verb.
+    ServeTop { port: Option<u16>, interval_ms: Option<u64>, samples: Option<u64> },
+    /// `repro bench-query`: the query-path microbenchmark.
+    BenchQuery { lab: LabOpts, quant: bool },
+    /// `repro runs [list|show|diff]` over the index under `--runs-dir`.
+    Runs { query: RunsCmd, runs_dir: Option<PathBuf> },
     /// `--list`: list artifact ids and exit.
-    pub list: bool,
+    List,
     /// `--help` / `-h`.
-    pub help: bool,
+    Help,
+}
+
+/// Options of every command that builds a lab, one field per flag:
+/// `--scale`, `--seed`, `--threads`, `--fast`, `--cache-dir`, `--cold`,
+/// `--no-mmap` and `--cache-cap`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LabOpts {
+    pub scale: Option<f64>,
+    pub seed: Option<u64>,
+    pub threads: Option<usize>,
+    pub fast: bool,
+    pub cache_dir: Option<PathBuf>,
+    pub cold: bool,
+    pub no_mmap: bool,
+    pub cache_cap: Option<u64>,
+}
+
+/// Telemetry exporters of a recorded run (`artifacts`, `sweep`, `serve`):
+/// `--trace FILE`, `--metrics` and `--profile`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ObsOpts {
+    pub trace: Option<PathBuf>,
+    pub metrics: bool,
+    pub profile: bool,
+}
+
+impl ObsOpts {
+    /// Whether any exporter needs the telemetry recorder on.
+    pub fn wanted(&self) -> bool {
+        self.trace.is_some() || self.metrics || self.profile
+    }
+}
+
+/// Run-journal options of a journaled run (`artifacts`, `sweep`):
+/// `--runs-dir DIR` and `--no-journal` (`off`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct JournalOpts {
+    pub runs_dir: Option<PathBuf>,
+    pub off: bool,
+}
+
+/// Batching-engine options of `serve` and `serve-bench`: `--queue-cap`
+/// and `--batch-max`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EngineOpts {
+    pub queue_cap: Option<usize>,
+    pub batch_max: Option<usize>,
+}
+
+/// What `repro sweep` does with its grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SweepMode {
+    /// `--plan`: print the dedup plan and exit without running.
+    Plan,
+    /// Run the grid; with `--baseline`, also rerun every variant
+    /// sequentially and record the measured speedup.
+    Run { baseline: bool },
 }
 
 /// The `repro runs` query surface over `results/runs/index.jsonl`.
@@ -103,261 +128,230 @@ pub enum RunsCmd {
     Diff(String, String),
 }
 
-impl Args {
-    /// Whether any flag requests telemetry recording.
-    pub fn wants_telemetry(&self) -> bool {
-        self.trace.is_some() || self.metrics || self.profile
+/// The commands, as the applicability table names them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Artifacts,
+    Sweep,
+    Serve,
+    ServeBench,
+    ServeTop,
+    BenchQuery,
+    Runs,
+    List,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Artifacts => "artifact runs",
+            Kind::Sweep => "sweep",
+            Kind::Serve => "serve",
+            Kind::ServeBench => "serve-bench",
+            Kind::ServeTop => "serve-top",
+            Kind::BenchQuery => "bench-query",
+            Kind::Runs => "runs",
+            Kind::List => "--list",
+        }
+    }
+}
+
+const LAB: &[Kind] =
+    &[Kind::Artifacts, Kind::Sweep, Kind::Serve, Kind::ServeBench, Kind::BenchQuery];
+const RECORDED: &[Kind] = &[Kind::Artifacts, Kind::Sweep, Kind::Serve];
+const JOURNALED: &[Kind] = &[Kind::Artifacts, Kind::Sweep];
+const ENGINE: &[Kind] = &[Kind::Serve, Kind::ServeBench];
+const VALUE: Option<&str> = Some("a value");
+const DIR: Option<&str> = Some("a directory");
+const FILE: Option<&str> = Some("a file path");
+
+/// Every option `repro` accepts: its name, what its value is (`None` for
+/// a switch), and the commands that read it — the one place flag
+/// applicability is decided.
+const FLAGS: &[(&str, Option<&str>, &[Kind])] = &[
+    ("--scale", VALUE, LAB),
+    ("--seed", VALUE, LAB),
+    ("--threads", VALUE, LAB),
+    ("--fast", None, LAB),
+    ("--cache-dir", DIR, LAB),
+    ("--cold", None, LAB),
+    ("--no-mmap", None, LAB),
+    ("--cache-cap", Some("a byte count"), LAB),
+    ("--out", DIR, JOURNALED),
+    ("--md", FILE, &[Kind::Artifacts]),
+    ("--trace", FILE, RECORDED),
+    ("--metrics", None, RECORDED),
+    ("--profile", None, RECORDED),
+    ("--runs-dir", DIR, &[Kind::Artifacts, Kind::Sweep, Kind::Runs]),
+    ("--no-journal", None, JOURNALED),
+    ("--grid", Some("a spec (key=v1,v2;key=...)"), &[Kind::Sweep]),
+    ("--plan", None, &[Kind::Sweep]),
+    ("--baseline", None, &[Kind::Sweep]),
+    ("--quant", None, &[Kind::BenchQuery]),
+    ("--port", VALUE, &[Kind::Serve, Kind::ServeTop]),
+    ("--socket", Some("a path"), &[Kind::Serve]),
+    ("--slow-us", VALUE, &[Kind::Serve]),
+    ("--queue-cap", VALUE, ENGINE),
+    ("--batch-max", VALUE, ENGINE),
+    ("--clients", VALUE, &[Kind::ServeBench]),
+    ("--requests", VALUE, &[Kind::ServeBench]),
+    ("--interval-ms", VALUE, &[Kind::ServeTop]),
+    ("--samples", VALUE, &[Kind::ServeTop]),
+];
+
+/// Parses `v` as a number; `what` names it in the error.
+fn num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {what} {v}"))
+}
+
+/// [`num`] that also rejects zero, naming `flag`.
+fn positive<T>(flag: &str, v: &str, what: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    let n = num(v, what)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be at least 1, got 0"));
+    }
+    Ok(n)
+}
+
+/// A directory flag's value: non-empty and not an existing file.
+fn dir(flag: &str, v: String) -> Result<PathBuf, String> {
+    match PathBuf::from(&v) {
+        _ if v.is_empty() => Err(format!("{flag} needs a non-empty directory")),
+        p if p.is_file() => Err(format!("{flag} {v} is a file, not a directory")),
+        p => Ok(p),
     }
 }
 
 /// Parses `repro` arguments (without the program name). Flag values are
 /// validated here so every bad input fails before any work starts.
-pub fn parse<I>(args: I) -> Result<Args, String>
+pub fn parse<I>(args: I) -> Result<Command, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut out = Args::default();
+    let (mut lab, mut obs, mut journal) =
+        (LabOpts::default(), ObsOpts::default(), JournalOpts::default());
+    let (mut ids, mut out, mut md, mut grid) = (Vec::new(), None, None, None);
+    let (mut plan, mut baseline, mut quant) = (false, false, false);
+    let (mut port, mut socket, mut slow_us, mut engine) = (None, None, None, EngineOpts::default());
+    let (mut clients, mut requests, mut interval_ms, mut samples) = (None, None, None, None);
+    let (mut runs, mut kind, mut seen) = (None, None, Vec::new());
+    let mut select = |k: Kind| match kind.replace(k) {
+        Some(prev) if prev != k => {
+            Err(format!("{} and {} are mutually exclusive", prev.name(), k.name()))
+        }
+        _ => Ok(()),
+    };
+
     let mut it = args.into_iter().peekable();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--list" => out.list = true,
-            "--fast" => out.fast = true,
-            "--cold" => out.cold = true,
-            "--quant" => out.quant = true,
-            "--no-mmap" => out.no_mmap = true,
-            "--no-journal" => out.no_journal = true,
-            "bench-query" => out.bench_query = true,
-            "sweep" => out.sweep = true,
-            "--plan" => out.plan_only = true,
-            "--baseline" => out.baseline = true,
-            "--grid" => {
-                let v = it.next().ok_or("--grid needs a spec (key=v1,v2;key=...)")?;
-                // Parse eagerly so a bad grid fails before any work starts.
-                kcb_core::experiment::sweep::GridSpec::parse(&v)
-                    .map_err(|e| format!("--grid: {e}"))?;
-                out.grid = Some(v);
-            }
-            "serve" => out.serve = true,
-            "serve-bench" => out.serve_bench = true,
-            "serve-top" => out.serve_top = true,
-            "runs" => {
-                // `runs` with no (or a flag) next token defaults to `list`.
-                let sub = match it.peek() {
-                    Some(s) if !s.starts_with('-') => it.next().expect("peeked"),
-                    _ => "list".to_string(),
-                };
-                out.runs = Some(match sub.as_str() {
-                    "list" => RunsCmd::List,
-                    "show" => RunsCmd::Show(it.next().ok_or("runs show needs a run id")?),
-                    "diff" => RunsCmd::Diff(
-                        it.next().ok_or("runs diff needs two run ids")?,
-                        it.next().ok_or("runs diff needs two run ids")?,
-                    ),
-                    other => {
-                        return Err(format!("unknown runs subcommand '{other}' (list|show|diff)"))
-                    }
-                });
-            }
-            "--runs-dir" => {
-                let v = it.next().ok_or("--runs-dir needs a directory")?;
-                if v.is_empty() {
-                    return Err("--runs-dir needs a non-empty directory".to_string());
+        let Some(&(flag, value, applies)) = FLAGS.iter().find(|f| f.0 == a) else {
+            match a.as_str() {
+                "--help" | "-h" => return Ok(Command::Help),
+                "--list" => select(Kind::List)?,
+                "bench-query" => select(Kind::BenchQuery)?,
+                "sweep" => select(Kind::Sweep)?,
+                "serve" => select(Kind::Serve)?,
+                "serve-bench" => select(Kind::ServeBench)?,
+                "serve-top" => select(Kind::ServeTop)?,
+                "runs" => {
+                    select(Kind::Runs)?;
+                    // `runs` with no (or a flag) next token defaults to `list`.
+                    let verb = it.next_if(|s| !s.starts_with('-'));
+                    let mut id = |e: &str| it.next().ok_or_else(|| e.to_string());
+                    runs = Some(match verb.as_deref().unwrap_or("list") {
+                        "list" => RunsCmd::List,
+                        "show" => RunsCmd::Show(id("runs show needs a run id")?),
+                        "diff" => {
+                            let e = "runs diff needs two run ids";
+                            RunsCmd::Diff(id(e)?, id(e)?)
+                        }
+                        other => return Err(format!("bad runs verb '{other}' (list|show|diff)")),
+                    });
                 }
-                let p = PathBuf::from(&v);
-                if p.is_file() {
-                    return Err(format!("--runs-dir {v} is a file, not a directory"));
-                }
-                out.runs_dir = Some(p);
+                other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
+                other => ids.push(other.to_string()),
             }
-            "--port" => {
-                let v = it.next().ok_or("--port needs a value")?;
-                out.port = Some(v.parse().map_err(|_| format!("bad port {v}"))?);
-            }
-            "--socket" => {
-                let v = it.next().ok_or("--socket needs a path")?;
-                if v.is_empty() {
-                    return Err("--socket needs a non-empty path".to_string());
-                }
-                out.socket = Some(v.into());
-            }
-            "--clients" => {
-                let v = it.next().ok_or("--clients needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad client count {v}"))?;
-                if n == 0 {
-                    return Err("--clients must be at least 1, got 0".to_string());
-                }
-                out.clients = Some(n);
-            }
-            "--requests" => {
-                let v = it.next().ok_or("--requests needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad request count {v}"))?;
-                if n == 0 {
-                    return Err("--requests must be at least 1, got 0".to_string());
-                }
-                out.requests = Some(n);
-            }
-            "--queue-cap" => {
-                let v = it.next().ok_or("--queue-cap needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad queue cap {v}"))?;
-                if n == 0 {
-                    return Err("--queue-cap must be at least 1, got 0".to_string());
-                }
-                out.queue_cap = Some(n);
-            }
-            "--batch-max" => {
-                let v = it.next().ok_or("--batch-max needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad batch max {v}"))?;
-                if n == 0 {
-                    return Err("--batch-max must be at least 1, got 0".to_string());
-                }
-                out.batch_max = Some(n);
-            }
-            "--interval-ms" => {
-                let v = it.next().ok_or("--interval-ms needs a value")?;
-                let n: u64 = v.parse().map_err(|_| format!("bad interval {v}"))?;
-                if n == 0 {
-                    return Err("--interval-ms must be at least 1, got 0".to_string());
-                }
-                out.interval_ms = Some(n);
-            }
-            "--samples" => {
-                let v = it.next().ok_or("--samples needs a value")?;
-                out.samples = Some(v.parse().map_err(|_| format!("bad sample count {v}"))?);
-            }
-            "--slow-us" => {
-                let v = it.next().ok_or("--slow-us needs a value")?;
-                let n: u64 = v.parse().map_err(|_| format!("bad threshold {v}"))?;
-                if n == 0 {
-                    return Err("--slow-us must be at least 1, got 0".to_string());
-                }
-                out.slow_us = Some(n);
-            }
-            "--metrics" => out.metrics = true,
-            "--profile" => out.profile = true,
-            "--help" | "-h" => out.help = true,
+            continue;
+        };
+        let v = match value {
+            Some(what) => it.next().ok_or_else(|| format!("{flag} needs {what}"))?,
+            None => String::new(),
+        };
+        seen.push((flag, applies));
+        match flag {
             "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                let s: f64 = v.parse().map_err(|_| format!("bad scale {v}"))?;
+                let s: f64 = num(&v, "scale")?;
                 if !(s > 0.0 && s <= 4.0) {
                     return Err(format!("--scale must be in (0, 4], got {v}"));
                 }
-                out.scale = Some(s);
+                lab.scale = Some(s);
             }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                out.seed = Some(v.parse().map_err(|_| format!("bad seed {v}"))?);
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                let t: usize = v.parse().map_err(|_| format!("bad thread count {v}"))?;
-                if t == 0 {
-                    return Err("--threads must be at least 1, got 0".to_string());
-                }
-                out.threads = Some(t);
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a directory")?;
-                out.out = Some(v.into());
-            }
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a directory")?;
-                if v.is_empty() {
-                    return Err("--cache-dir needs a non-empty directory".to_string());
-                }
-                let p = PathBuf::from(&v);
-                if p.is_file() {
-                    return Err(format!("--cache-dir {v} is a file, not a directory"));
-                }
-                out.cache_dir = Some(p);
-            }
-            "--cache-cap" => {
-                let v = it.next().ok_or("--cache-cap needs a byte count")?;
-                let cap: u64 = v.parse().map_err(|_| format!("bad cache cap {v}"))?;
-                if cap == 0 {
-                    return Err("--cache-cap must be at least 1 byte, got 0".to_string());
-                }
-                out.cache_cap = Some(cap);
-            }
-            "--md" => {
-                let v = it.next().ok_or("--md needs a file path")?;
-                out.md = Some(v.into());
-            }
-            "--trace" => {
-                let v = it.next().ok_or("--trace needs a file path")?;
-                out.trace = Some(v.into());
-            }
-            other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
-            other => out.ids.push(other.to_string()),
+            "--seed" => lab.seed = Some(num(&v, "seed")?),
+            "--threads" => lab.threads = Some(positive(flag, &v, "thread count")?),
+            "--fast" => lab.fast = true,
+            "--cache-dir" => lab.cache_dir = Some(dir(flag, v)?),
+            "--cold" => lab.cold = true,
+            "--no-mmap" => lab.no_mmap = true,
+            "--cache-cap" => lab.cache_cap = Some(positive(flag, &v, "cache cap")?),
+            "--out" => out = Some(PathBuf::from(v)),
+            "--md" => md = Some(PathBuf::from(v)),
+            "--trace" => obs.trace = Some(PathBuf::from(v)),
+            "--metrics" => obs.metrics = true,
+            "--profile" => obs.profile = true,
+            "--runs-dir" => journal.runs_dir = Some(dir(flag, v)?),
+            "--no-journal" => journal.off = true,
+            // Parsed here, once, so a bad grid fails before any work starts.
+            "--grid" => grid = Some(GridSpec::parse(&v).map_err(|e| format!("--grid: {e}"))?),
+            "--plan" => plan = true,
+            "--baseline" => baseline = true,
+            "--quant" => quant = true,
+            "--port" => port = Some(num(&v, "port")?),
+            "--socket" if v.is_empty() => return Err("--socket needs a non-empty path".into()),
+            "--socket" => socket = Some(PathBuf::from(v)),
+            "--slow-us" => slow_us = Some(positive(flag, &v, "threshold")?),
+            "--queue-cap" => engine.queue_cap = Some(positive(flag, &v, "queue cap")?),
+            "--batch-max" => engine.batch_max = Some(positive(flag, &v, "batch max")?),
+            "--clients" => clients = Some(positive(flag, &v, "client count")?),
+            "--requests" => requests = Some(positive(flag, &v, "request count")?),
+            "--interval-ms" => interval_ms = Some(positive(flag, &v, "interval")?),
+            "--samples" => samples = Some(num(&v, "sample count")?),
+            other => unreachable!("{other} is in FLAGS but has no parse arm"),
         }
     }
-    if out.quant && !out.bench_query {
-        // Quantization is an inference-only query-path option; keeping it
-        // out of artifact runs guarantees f32 artifact bytes never depend
-        // on the flag.
-        return Err("--quant only applies to the bench-query subcommand".to_string());
+    let kind = kind.unwrap_or(Kind::Artifacts);
+    if let Some((flag, applies)) = seen.into_iter().find(|(_, applies)| !applies.contains(&kind)) {
+        let names: Vec<&str> = applies.iter().map(|k| k.name()).collect();
+        return Err(format!("{flag} only applies to {}", names.join(" / ")));
     }
-    if out.bench_query && !out.ids.is_empty() {
-        return Err(format!("bench-query runs alone, got artifact '{}'", out.ids[0]));
+    if !ids.is_empty() && !matches!(kind, Kind::Artifacts | Kind::Serve) {
+        return Err(format!("{} takes no artifact ids, got '{}'", kind.name(), ids[0]));
     }
-    let subcommands = usize::from(out.bench_query)
-        + usize::from(out.sweep)
-        + usize::from(out.serve)
-        + usize::from(out.serve_bench)
-        + usize::from(out.serve_top)
-        + usize::from(out.runs.is_some());
-    if subcommands > 1 {
-        return Err(
-            "bench-query, sweep, serve, serve-bench, serve-top and runs are mutually exclusive"
-                .to_string(),
-        );
-    }
-    if out.sweep && out.grid.is_none() {
-        return Err("sweep needs --grid (e.g. --grid \"seeds=7,8;scenarios=0,2\")".to_string());
-    }
-    if out.sweep && !out.ids.is_empty() {
-        return Err(format!("sweep runs alone, got artifact '{}'", out.ids[0]));
-    }
-    if (out.grid.is_some() || out.plan_only || out.baseline) && !out.sweep {
-        return Err("--grid / --plan / --baseline only apply to the sweep subcommand".to_string());
-    }
-    if out.plan_only && out.baseline {
-        return Err("--plan is a dry run; it cannot be combined with --baseline".to_string());
-    }
-    if out.runs.is_some() && !out.ids.is_empty() {
-        return Err(format!("runs queries run alone, got artifact '{}'", out.ids[0]));
-    }
-    if out.no_journal
-        && (out.runs.is_some() || out.bench_query || out.serve || out.serve_bench || out.serve_top)
-    {
-        return Err("--no-journal only applies to artifact runs".to_string());
-    }
-    if out.port.is_some() && !(out.serve || out.serve_top) {
-        return Err("--port only applies to the serve / serve-top subcommands".to_string());
-    }
-    if out.socket.is_some() && !out.serve {
-        return Err("--socket only applies to the serve subcommand".to_string());
-    }
-    if (out.interval_ms.is_some() || out.samples.is_some()) && !out.serve_top {
-        return Err("--interval-ms / --samples only apply to the serve-top subcommand".to_string());
-    }
-    if out.slow_us.is_some() && !out.serve {
-        return Err("--slow-us only applies to the serve subcommand".to_string());
-    }
-    if out.serve_top && !out.ids.is_empty() {
-        return Err(format!("serve-top runs alone, got artifact '{}'", out.ids[0]));
-    }
-    if (out.clients.is_some() || out.requests.is_some()) && !out.serve_bench {
-        return Err("--clients / --requests only apply to the serve-bench subcommand".to_string());
-    }
-    if (out.queue_cap.is_some() || out.batch_max.is_some()) && !(out.serve || out.serve_bench) {
-        return Err("--queue-cap / --batch-max only apply to serve / serve-bench".to_string());
-    }
-    // `serve` accepts artifact ids (they are assembled and preloaded into
-    // the snapshot); `serve-bench` runs alone like `bench-query`.
-    if out.serve_bench && !out.ids.is_empty() {
-        return Err(format!("serve-bench runs alone, got artifact '{}'", out.ids[0]));
-    }
-    Ok(out)
+    expand_aliases(&mut ids);
+    validate_ids(&ids)?;
+    Ok(match kind {
+        Kind::Artifacts if ids.is_empty() => return Err("no artifacts requested".to_string()),
+        Kind::Artifacts => Command::Artifacts { lab, ids, out, md, obs, journal },
+        Kind::Sweep if plan && baseline => {
+            return Err("--plan is a dry run; it cannot be combined with --baseline".into())
+        }
+        Kind::Sweep => Command::Sweep {
+            lab,
+            grid: grid.ok_or("sweep needs --grid (e.g. --grid \"seeds=7,8;scenarios=0,2\")")?,
+            mode: if plan { SweepMode::Plan } else { SweepMode::Run { baseline } },
+            out,
+            obs,
+            journal,
+        },
+        Kind::Serve => Command::Serve { lab, ids, port, socket, engine, slow_us, obs },
+        Kind::ServeBench => Command::ServeBench { lab, clients, requests, engine },
+        Kind::ServeTop => Command::ServeTop { port, interval_ms, samples },
+        Kind::BenchQuery => Command::BenchQuery { lab, quant },
+        Kind::Runs => Command::Runs { query: runs.expect("parsed"), runs_dir: journal.runs_dir },
+        Kind::List => Command::List,
+    })
 }
 
 /// Every runnable artifact id, lowercase, in listing order.
@@ -398,9 +392,52 @@ pub fn validate_ids(ids: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kcb_core::experiment::{ABLATION_IDS, ALL_IDS};
 
-    fn p(args: &[&str]) -> Result<Args, String> {
+    fn p(args: &[&str]) -> Result<Command, String> {
         parse(args.iter().map(|s| s.to_string()))
+    }
+
+    fn strings(ids: &[&str]) -> Vec<String> {
+        ids.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn path(s: &str) -> Option<PathBuf> {
+        Some(PathBuf::from(s))
+    }
+
+    /// The lab options of a lab-building command.
+    fn lab_of(cmd: Command) -> LabOpts {
+        match cmd {
+            Command::Artifacts { lab, .. }
+            | Command::Sweep { lab, .. }
+            | Command::Serve { lab, .. }
+            | Command::ServeBench { lab, .. }
+            | Command::BenchQuery { lab, .. } => lab,
+            other => panic!("{other:?} builds no lab"),
+        }
+    }
+
+    fn fast(seed: Option<u64>, threads: Option<usize>) -> LabOpts {
+        LabOpts { fast: true, seed, threads, ..LabOpts::default() }
+    }
+
+    fn artifacts(ids: &[&str], lab: LabOpts, out: Option<PathBuf>, obs: ObsOpts) -> Command {
+        let journal = JournalOpts::default();
+        Command::Artifacts { lab, ids: strings(ids), out, md: None, obs, journal }
+    }
+
+    fn metrics() -> ObsOpts {
+        ObsOpts { metrics: true, ..ObsOpts::default() }
+    }
+
+    fn serve(lab: LabOpts, ids: &[&str], port: Option<u16>, socket: Option<PathBuf>) -> Command {
+        let (engine, slow_us, obs) = (EngineOpts::default(), None, ObsOpts::default());
+        Command::Serve { lab, ids: strings(ids), port, socket, engine, slow_us, obs }
+    }
+
+    fn serve_bench(lab: LabOpts, clients: Option<usize>, requests: Option<usize>) -> Command {
+        Command::ServeBench { lab, clients, requests, engine: EngineOpts::default() }
     }
 
     #[test]
@@ -410,14 +447,14 @@ mod tests {
             "t.json", "--metrics", "--profile", "--out", "results",
         ])
         .unwrap();
-        assert_eq!(a.ids, vec!["all"]);
-        assert_eq!(a.threads, Some(4));
-        assert_eq!(a.scale, Some(0.05));
-        assert_eq!(a.seed, Some(7));
-        assert_eq!(a.trace.as_deref(), Some(std::path::Path::new("t.json")));
-        assert!(a.metrics && a.profile && a.fast);
-        assert!(a.wants_telemetry());
-        assert!(!p(&["all"]).unwrap().wants_telemetry());
+        let Command::Artifacts { lab, ids, out, md, obs, journal } = a else { panic!("{a:?}") };
+        assert_eq!(ids, strings(ALL_IDS), "`all` expands at parse time");
+        assert_eq!(lab, LabOpts { scale: Some(0.05), ..fast(Some(7), Some(4)) });
+        assert_eq!(obs.trace.as_deref(), Some(std::path::Path::new("t.json")));
+        assert!(obs.metrics && obs.profile && obs.wanted());
+        assert_eq!((out, md, journal), (path("results"), None, JournalOpts::default()));
+        let all = artifacts(ALL_IDS, LabOpts::default(), None, ObsOpts::default());
+        assert_eq!(p(&["all"]).unwrap(), all);
     }
 
     #[test]
@@ -432,7 +469,7 @@ mod tests {
             let e = p(&["all", "--scale", bad]).unwrap_err();
             assert!(e.contains("scale"), "{bad}: {e}");
         }
-        assert_eq!(p(&["--scale", "0.5"]).unwrap().scale, Some(0.5));
+        assert_eq!(lab_of(p(&["table2", "--scale", "0.5"]).unwrap()).scale, Some(0.5));
     }
 
     #[test]
@@ -445,12 +482,9 @@ mod tests {
 
     #[test]
     fn parses_cache_flags() {
-        let a = p(&["table4", "--cache-dir", "warm", "--cold"]).unwrap();
-        assert_eq!(a.cache_dir.as_deref(), Some(std::path::Path::new("warm")));
-        assert!(a.cold);
-        let a = p(&["table4"]).unwrap();
-        assert_eq!(a.cache_dir, None);
-        assert!(!a.cold);
+        let lab = lab_of(p(&["table4", "--cache-dir", "warm", "--cold"]).unwrap());
+        assert_eq!(lab, LabOpts { cache_dir: path("warm"), cold: true, ..LabOpts::default() });
+        assert_eq!(lab_of(p(&["table4"]).unwrap()), LabOpts::default());
     }
 
     #[test]
@@ -469,11 +503,9 @@ mod tests {
     fn parses_query_path_flags() {
         let a = p(&["bench-query", "--quant", "--no-mmap", "--fast", "--cache-cap", "1024"])
             .unwrap();
-        assert!(a.bench_query && a.quant && a.no_mmap && a.fast);
-        assert_eq!(a.cache_cap, Some(1024));
-        assert!(a.ids.is_empty());
-        let a = p(&["table4"]).unwrap();
-        assert!(!a.bench_query && !a.quant && !a.no_mmap && a.cache_cap.is_none());
+        let lab = LabOpts { no_mmap: true, cache_cap: Some(1024), ..fast(None, None) };
+        assert_eq!(a, Command::BenchQuery { lab, quant: true });
+        assert_eq!(lab_of(p(&["table4"]).unwrap()), LabOpts::default());
     }
 
     #[test]
@@ -500,16 +532,12 @@ mod tests {
         let a = p(&["serve", "table2", "--port", "9000", "--socket", "/tmp/kcb.sock",
             "--queue-cap", "128", "--batch-max", "16"])
             .unwrap();
-        assert!(a.serve && !a.serve_bench && !a.bench_query);
-        assert_eq!(a.ids, vec!["table2"]);
-        assert_eq!(a.port, Some(9000));
-        assert_eq!(a.socket.as_deref(), Some(std::path::Path::new("/tmp/kcb.sock")));
-        assert_eq!(a.queue_cap, Some(128));
-        assert_eq!(a.batch_max, Some(16));
+        let Command::Serve { ids, port, socket, engine, .. } = a else { panic!("{a:?}") };
+        assert_eq!(ids, vec!["table2"]);
+        assert_eq!((port, socket), (Some(9000), path("/tmp/kcb.sock")));
+        assert_eq!(engine, EngineOpts { queue_cap: Some(128), batch_max: Some(16) });
         let a = p(&["serve-bench", "--clients", "4", "--requests", "100", "--fast"]).unwrap();
-        assert!(a.serve_bench && a.fast);
-        assert_eq!(a.clients, Some(4));
-        assert_eq!(a.requests, Some(100));
+        assert_eq!(a, serve_bench(fast(None, None), Some(4), Some(100)));
     }
 
     #[test]
@@ -538,14 +566,13 @@ mod tests {
     fn parses_serve_top_flags() {
         let a = p(&["serve-top", "--port", "9000", "--interval-ms", "250", "--samples", "10"])
             .unwrap();
-        assert!(a.serve_top && !a.serve && !a.serve_bench);
-        assert_eq!(a.port, Some(9000));
-        assert_eq!(a.interval_ms, Some(250));
-        assert_eq!(a.samples, Some(10));
+        let (port, interval_ms, samples) = (Some(9000), Some(250), Some(10));
+        assert_eq!(a, Command::ServeTop { port, interval_ms, samples });
         // --samples 0 means "poll until the daemon goes away".
-        assert_eq!(p(&["serve-top", "--samples", "0"]).unwrap().samples, Some(0));
+        let a = p(&["serve-top", "--samples", "0"]).unwrap();
+        assert!(matches!(a, Command::ServeTop { samples: Some(0), .. }), "{a:?}");
         let a = p(&["serve", "--slow-us", "2500"]).unwrap();
-        assert_eq!(a.slow_us, Some(2500));
+        assert!(matches!(a, Command::Serve { slow_us: Some(2500), .. }), "{a:?}");
     }
 
     #[test]
@@ -571,14 +598,18 @@ mod tests {
 
     #[test]
     fn parses_sweep_flags() {
-        let a = p(&["sweep", "--grid", "seeds=7,8;scenarios=0,2;paradigms=sup,icl", "--fast"])
-            .unwrap();
-        assert!(a.sweep && a.fast && !a.plan_only && !a.baseline);
-        assert_eq!(a.grid.as_deref(), Some("seeds=7,8;scenarios=0,2;paradigms=sup,icl"));
+        let spec = "seeds=7,8;scenarios=0,2;paradigms=sup,icl";
+        let a = p(&["sweep", "--grid", spec, "--fast"]).unwrap();
+        let Command::Sweep { lab, grid, mode, .. } = a else { panic!("{a:?}") };
+        assert!(lab.fast);
+        assert_eq!(grid, GridSpec::parse(spec).unwrap(), "--grid is parsed once, here");
+        assert_eq!(mode, SweepMode::Run { baseline: false });
         let a = p(&["sweep", "--grid", "scenarios=0", "--plan"]).unwrap();
-        assert!(a.plan_only);
+        assert!(matches!(a, Command::Sweep { mode: SweepMode::Plan, .. }), "{a:?}");
         let a = p(&["sweep", "--grid", "scenarios=0", "--baseline", "--no-journal"]).unwrap();
-        assert!(a.baseline && a.no_journal, "sweep composes with --no-journal");
+        let Command::Sweep { mode, journal, .. } = a else { panic!("{a:?}") };
+        assert_eq!(mode, SweepMode::Run { baseline: true });
+        assert!(journal.off, "sweep composes with --no-journal");
     }
 
     #[test]
@@ -605,18 +636,17 @@ mod tests {
 
     #[test]
     fn parses_runs_subcommands() {
-        assert_eq!(p(&["runs"]).unwrap().runs, Some(RunsCmd::List));
-        assert_eq!(p(&["runs", "list"]).unwrap().runs, Some(RunsCmd::List));
-        let a = p(&["runs", "--runs-dir", "r"]).unwrap();
-        assert_eq!(a.runs, Some(RunsCmd::List));
-        assert_eq!(a.runs_dir.as_deref(), Some(std::path::Path::new("r")));
+        let runs = |query, runs_dir| Command::Runs { query, runs_dir };
+        assert_eq!(p(&["runs"]).unwrap(), runs(RunsCmd::List, None));
+        assert_eq!(p(&["runs", "list"]).unwrap(), runs(RunsCmd::List, None));
+        assert_eq!(p(&["runs", "--runs-dir", "r"]).unwrap(), runs(RunsCmd::List, path("r")));
         assert_eq!(
-            p(&["runs", "show", "deadbeef-1"]).unwrap().runs,
-            Some(RunsCmd::Show("deadbeef-1".to_string()))
+            p(&["runs", "show", "deadbeef-1"]).unwrap(),
+            runs(RunsCmd::Show("deadbeef-1".to_string()), None)
         );
         assert_eq!(
-            p(&["runs", "diff", "a-1", "b-2"]).unwrap().runs,
-            Some(RunsCmd::Diff("a-1".to_string(), "b-2".to_string()))
+            p(&["runs", "diff", "a-1", "b-2"]).unwrap(),
+            runs(RunsCmd::Diff("a-1".to_string(), "b-2".to_string()), None)
         );
     }
 
@@ -636,13 +666,277 @@ mod tests {
     #[test]
     fn journal_flags_are_validated() {
         let a = p(&["all", "--no-journal", "--runs-dir", "elsewhere"]).unwrap();
-        assert!(a.no_journal);
-        assert_eq!(a.runs_dir.as_deref(), Some(std::path::Path::new("elsewhere")));
-        assert!(!p(&["all"]).unwrap().no_journal);
+        let Command::Artifacts { journal, .. } = a else { panic!("{a:?}") };
+        assert_eq!(journal, JournalOpts { runs_dir: path("elsewhere"), off: true });
+        let a = p(&["all"]).unwrap();
+        assert!(matches!(a, Command::Artifacts { journal: JournalOpts { off: false, .. }, .. }));
         let e = p(&["bench-query", "--no-journal"]).unwrap_err();
         assert!(e.contains("--no-journal"), "{e}");
         let e = p(&["runs", "--no-journal"]).unwrap_err();
         assert!(e.contains("--no-journal"), "{e}");
+    }
+
+    #[test]
+    fn artifact_runs_need_known_ids() {
+        assert!(p(&[]).unwrap_err().contains("no artifacts"));
+        assert!(p(&["--fast"]).unwrap_err().contains("no artifacts"));
+        assert!(p(&["tabel3"]).unwrap_err().contains("tabel3"));
+        assert!(p(&["serve", "tabel3"]).unwrap_err().contains("tabel3"));
+        assert_eq!(p(&["serve"]).unwrap(), serve(LabOpts::default(), &[], None, None));
+    }
+
+    #[test]
+    fn help_wins_and_list_stands_alone() {
+        assert_eq!(p(&["-h"]).unwrap(), Command::Help);
+        assert_eq!(p(&["serve", "--port", "1", "--help"]).unwrap(), Command::Help);
+        assert_eq!(p(&["--list"]).unwrap(), Command::List);
+        assert!(p(&["--list", "--fast"]).unwrap_err().contains("--fast"));
+        assert!(p(&["--list", "table2"]).unwrap_err().contains("table2"));
+        assert!(p(&["--list", "serve"]).unwrap_err().contains("mutually exclusive"));
+    }
+
+    /// Flags that used to be accepted and then ignored are now rejected,
+    /// naming the flag.
+    #[test]
+    fn flags_a_command_does_not_read_are_rejected() {
+        let cases: &[&[&str]] = &[
+            &["serve-bench", "--trace", "t.json"],
+            &["serve-bench", "--metrics"],
+            &["serve-bench", "--profile"],
+            &["bench-query", "--trace", "t.json"],
+            &["bench-query", "--metrics"],
+            &["bench-query", "--profile"],
+            &["sweep", "--grid", "scenarios=0", "--md", "r.md"],
+            &["serve", "--md", "r.md"],
+            &["serve", "--out", "o"],
+            &["serve-bench", "--out", "o"],
+            &["bench-query", "--out", "o"],
+        ];
+        for args in cases {
+            let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
+            let e = p(args).unwrap_err();
+            assert!(e.contains(flag) && e.contains("only applies to"), "{args:?}: {e}");
+        }
+        for &(flag, value, _) in FLAGS.iter().filter(|f| f.2 == LAB) {
+            for cmd in ["runs", "serve-top"] {
+                let args = [cmd, flag, "1"];
+                let e = p(&args[..if value.is_some() { 3 } else { 2 }]).unwrap_err();
+                assert!(e.contains(flag) && e.contains("only applies to"), "{args:?}: {e}");
+            }
+        }
+    }
+
+    /// Every row of the table parses for every command it applies to and
+    /// is rejected, by name, for every other command.
+    #[test]
+    fn the_flag_table_is_the_whole_applicability_rule() {
+        let base: &[(Kind, &[&str])] = &[
+            (Kind::Artifacts, &["table2"]),
+            (Kind::Sweep, &["sweep", "--grid", "scenarios=0"]),
+            (Kind::Serve, &["serve"]),
+            (Kind::ServeBench, &["serve-bench"]),
+            (Kind::ServeTop, &["serve-top"]),
+            (Kind::BenchQuery, &["bench-query"]),
+            (Kind::Runs, &["runs"]),
+            (Kind::List, &["--list"]),
+        ];
+        for &(flag, value, applies) in FLAGS {
+            for (kind, cmd) in base {
+                let mut args = cmd.to_vec();
+                args.push(flag);
+                if value.is_some() {
+                    args.push(if flag == "--grid" { "scenarios=0" } else { "1" });
+                }
+                let parsed = p(&args);
+                if applies.contains(kind) {
+                    assert!(parsed.is_ok(), "{args:?}: {parsed:?}");
+                } else {
+                    let e = parsed.unwrap_err();
+                    assert!(e.contains(flag), "{args:?}: {e}");
+                }
+            }
+        }
+    }
+
+    /// Every `repro` command line in `.github/workflows/ci.yml` and the
+    /// README parses to the command it has always run. CI's `$GRID` and
+    /// `${{ matrix.threads }}` are substituted; shell quoting is dropped.
+    #[test]
+    fn every_documented_command_line_parses_to_its_command() {
+        const GRID: &str = "seeds=7,8;scenarios=0;paradigms=sup,icl;model=random;adapt=naive";
+        let four = ["table2", "table3a", "tableA6", "fig3"];
+        let resume_lab = |dir: &str| LabOpts { cache_dir: path(dir), ..fast(Some(7), Some(2)) };
+        let resume_journal = |dir: &str| JournalOpts { runs_dir: path(dir), off: false };
+        let sweep = |lab, grid: &str, mode, out: Option<PathBuf>, obs, journal| Command::Sweep {
+            lab,
+            grid: GridSpec::parse(grid).unwrap(),
+            mode,
+            out,
+            obs,
+            journal,
+        };
+        let runs = |query, runs_dir| Command::Runs { query, runs_dir };
+        let no_obs = ObsOpts::default;
+        let cases: Vec<(String, Command)> = vec![
+            // .github/workflows/ci.yml
+            (
+                "table2 table3a tableA6 fig3 --fast --seed 7 --threads 1 --out out-threads-1".into(),
+                artifacts(&four, fast(Some(7), Some(1)), path("out-threads-1"), no_obs()),
+            ),
+            (
+                "table2 table3a tableA6 fig3 --fast --seed 7 --threads 4 --out out-warm".into(),
+                artifacts(&four, fast(Some(7), Some(4)), path("out-warm"), no_obs()),
+            ),
+            (
+                "table2 table3a tableA6 fig3 --fast --threads 4 --trace /tmp/trace.json --metrics --profile"
+                    .into(),
+                artifacts(&four, fast(None, Some(4)), None, ObsOpts {
+                    trace: path("/tmp/trace.json"),
+                    metrics: true,
+                    profile: true,
+                }),
+            ),
+            (
+                "table4 tableA6 --fast --metrics --out out-cold".into(),
+                artifacts(&["table4", "tableA6"], fast(None, None), path("out-cold"), metrics()),
+            ),
+            (
+                "table4 tableA6 --fast --metrics --no-mmap --out out-warm-nommap".into(),
+                artifacts(
+                    &["table4", "tableA6"],
+                    LabOpts { no_mmap: true, ..fast(None, None) },
+                    path("out-warm-nommap"),
+                    metrics(),
+                ),
+            ),
+            ("bench-query --fast --quant".into(), Command::BenchQuery { lab: fast(None, None), quant: true }),
+            (
+                "bench-query --fast --quant --threads 2".into(),
+                Command::BenchQuery { lab: fast(None, Some(2)), quant: true },
+            ),
+            (
+                "table2 table3a tableA6 fig3 --fast --seed 7 --threads 2 --out out-resume --cache-dir ckpt-resume --runs-dir runs-resume"
+                    .into(),
+                Command::Artifacts {
+                    lab: resume_lab("ckpt-resume"),
+                    ids: strings(&four),
+                    out: path("out-resume"),
+                    md: None,
+                    obs: no_obs(),
+                    journal: resume_journal("runs-resume"),
+                },
+            ),
+            ("runs list --runs-dir runs-resume".into(), runs(RunsCmd::List, path("runs-resume"))),
+            ("serve-bench --fast --seed 7 --threads 4".into(), serve_bench(fast(Some(7), Some(4)), None, None)),
+            ("serve --fast --metrics --port 7878 --queue-cap 256".into(), Command::Serve {
+                lab: fast(None, None),
+                ids: Vec::new(),
+                port: Some(7878),
+                socket: None,
+                engine: EngineOpts { queue_cap: Some(256), batch_max: None },
+                slow_us: None,
+                obs: metrics(),
+            }),
+            (
+                format!("sweep --grid {GRID} --fast --plan"),
+                sweep(fast(None, None), GRID, SweepMode::Plan, None, no_obs(), JournalOpts::default()),
+            ),
+            (
+                format!("sweep --grid {GRID} --fast --threads 2 --metrics --baseline --out out-ref --cache-dir ckpt-ref --runs-dir runs-ref"),
+                sweep(
+                    LabOpts { seed: None, ..resume_lab("ckpt-ref") },
+                    GRID,
+                    SweepMode::Run { baseline: true },
+                    path("out-ref"),
+                    metrics(),
+                    resume_journal("runs-ref"),
+                ),
+            ),
+            (
+                format!("sweep --grid {GRID} --fast --threads 2 --out out-resume --cache-dir ckpt-resume --runs-dir runs-resume"),
+                sweep(
+                    LabOpts { seed: None, ..resume_lab("ckpt-resume") },
+                    GRID,
+                    SweepMode::Run { baseline: false },
+                    path("out-resume"),
+                    no_obs(),
+                    resume_journal("runs-resume"),
+                ),
+            ),
+            // README.md
+            ("all".into(), artifacts(ALL_IDS, LabOpts::default(), None, no_obs())),
+            ("table5 fig3".into(), artifacts(&["table5", "fig3"], LabOpts::default(), None, no_obs())),
+            ("all --fast".into(), artifacts(ALL_IDS, fast(None, None), None, no_obs())),
+            ("all --scale 0.06 --seed 7 --out results/ --md report.md".into(), Command::Artifacts {
+                lab: LabOpts { scale: Some(0.06), seed: Some(7), ..LabOpts::default() },
+                ids: strings(ALL_IDS),
+                out: path("results/"),
+                md: path("report.md"),
+                obs: no_obs(),
+                journal: JournalOpts::default(),
+            }),
+            ("summary".into(), artifacts(&["summary"], LabOpts::default(), None, no_obs())),
+            ("ablations".into(), artifacts(ABLATION_IDS, LabOpts::default(), None, no_obs())),
+            ("runs".into(), runs(RunsCmd::List, None)),
+            ("runs show 3fa9c2-17".into(), runs(RunsCmd::Show("3fa9c2-17".into()), None)),
+            ("runs diff 3fa9 77b0".into(), runs(RunsCmd::Diff("3fa9".into(), "77b0".into()), None)),
+            (
+                "sweep --grid seeds=7;scenarios=0,1,2,3,4;paradigms=sup,icl --baseline".into(),
+                sweep(
+                    LabOpts::default(),
+                    "seeds=7;scenarios=0,1,2,3,4;paradigms=sup,icl",
+                    SweepMode::Run { baseline: true },
+                    None,
+                    no_obs(),
+                    JournalOpts::default(),
+                ),
+            ),
+            (
+                "sweep --grid seeds=7,8;paradigms=all --plan".into(),
+                sweep(
+                    LabOpts::default(),
+                    "seeds=7,8;paradigms=all",
+                    SweepMode::Plan,
+                    None,
+                    no_obs(),
+                    JournalOpts::default(),
+                ),
+            ),
+            ("serve --port 7878".into(), serve(LabOpts::default(), &[], Some(7878), None)),
+            (
+                "serve table2 --socket /tmp/kcb.sock".into(),
+                serve(LabOpts::default(), &["table2"], None, path("/tmp/kcb.sock")),
+            ),
+            ("serve --metrics".into(), Command::Serve {
+                lab: LabOpts::default(),
+                ids: Vec::new(),
+                port: None,
+                socket: None,
+                engine: EngineOpts::default(),
+                slow_us: None,
+                obs: metrics(),
+            }),
+            (
+                "serve-top --port 7878".into(),
+                Command::ServeTop { port: Some(7878), interval_ms: None, samples: None },
+            ),
+            ("serve-bench --fast --threads 4".into(), serve_bench(fast(None, Some(4)), None, None)),
+            (
+                "all --fast --trace trace.json --metrics --profile".into(),
+                artifacts(ALL_IDS, fast(None, None), None, ObsOpts {
+                    trace: path("trace.json"),
+                    metrics: true,
+                    profile: true,
+                }),
+            ),
+            ("--list".into(), Command::List),
+            ("--help".into(), Command::Help),
+        ];
+        for (line, want) in cases {
+            let args: Vec<&str> = line.split_whitespace().collect();
+            let got = p(&args).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(got, want, "{line}");
+        }
     }
 
     #[test]

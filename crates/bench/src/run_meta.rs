@@ -78,17 +78,6 @@ pub struct RunMetaInputs<'a> {
     pub sweep: Option<Value>,
 }
 
-/// FNV-1a 64-bit hash, hex-encoded — a stable, dependency-free digest for
-/// the config manifest field.
-pub fn fnv64_hex(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
-}
-
 /// The current checkout's short revision, or `"unknown"`.
 pub fn git_rev() -> String {
     std::process::Command::new("git")
@@ -217,6 +206,7 @@ pub fn run_meta_json(inp: &RunMetaInputs<'_>) -> Value {
 mod tests {
     use super::*;
     use kcb_core::sched::{JobReport, RunReport};
+    use kcb_util::fnv64_hex;
 
     fn sample_inputs(report: &PlanReport, telemetry: &Telemetry) -> Value {
         run_meta_json(&RunMetaInputs {
@@ -313,16 +303,9 @@ mod tests {
         assert_eq!(doc["artifacts"][0]["worker"], json!(0));
         assert_eq!(doc["cells"][0]["start"], json!(0.1));
         assert_eq!(doc["providers"][0]["label"], json!("ontology"));
-        // The document must round-trip the zero-dependency validator.
+        // The document must parse back through the workspace JSON parser.
         let text = serde_json::to_string_pretty(&doc).unwrap();
-        kcb_obs::json::validate(&text).unwrap();
-    }
-
-    #[test]
-    fn fnv_digest_is_stable_and_input_sensitive() {
-        assert_eq!(fnv64_hex(b""), "cbf29ce484222325");
-        assert_eq!(fnv64_hex(b"kcb"), fnv64_hex(b"kcb"));
-        assert_ne!(fnv64_hex(b"kcb"), fnv64_hex(b"kcc"));
+        kcb_util::json::parse_value(&text).unwrap();
     }
 
     #[test]
@@ -354,7 +337,7 @@ mod tests {
         assert_eq!(doc["serve"]["served"], json!(120));
         assert_eq!(doc["serve"]["p99_us"], json!(2100));
         let text = serde_json::to_string(&doc).unwrap();
-        kcb_obs::json::validate(&text).unwrap();
+        kcb_util::json::parse_value(&text).unwrap();
     }
 
     #[test]
@@ -390,7 +373,7 @@ mod tests {
         assert_eq!(doc["sweep"]["shared_jobs"], json!(12));
         assert_eq!(doc["serve"], Value::Null);
         let text = serde_json::to_string(&doc).unwrap();
-        kcb_obs::json::validate(&text).unwrap();
+        kcb_util::json::parse_value(&text).unwrap();
     }
 
     #[test]
@@ -399,6 +382,6 @@ mod tests {
         assert_eq!(doc["counters"], json!({}));
         assert_eq!(doc["span_stats"], json!({}));
         let text = serde_json::to_string(&doc).unwrap();
-        kcb_obs::json::validate(&text).unwrap();
+        kcb_util::json::parse_value(&text).unwrap();
     }
 }

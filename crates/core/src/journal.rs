@@ -46,9 +46,7 @@ use std::sync::Mutex;
 pub const JOURNAL_VERSION: u64 = 1;
 
 /// FNV-1a 64-bit hex digest — the journal's checksum primitive.
-pub fn fnv64_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", kcb_util::fnv1a(bytes))
-}
+pub use kcb_util::fnv64_hex;
 
 // ---------------------------------------------------------------------------
 // Records and the line codec.
@@ -634,7 +632,7 @@ mod tests {
         };
         let line = encode_record(&r);
         assert_eq!(decode_record(&line).unwrap(), r);
-        kcb_obs::json::validate(&line).unwrap();
+        kcb_util::json::parse_value(&line).unwrap();
     }
 
     #[test]

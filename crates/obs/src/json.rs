@@ -1,10 +1,11 @@
-//! Minimal JSON support for the exporters: string escaping, number
-//! formatting, and a validating parser.
+//! Minimal JSON writing for the exporters: string escaping and number
+//! formatting.
 //!
 //! The exporters hand-roll their output (this crate is dependency-free),
-//! so the writer side needs only escaping and finite-number formatting;
-//! the [`validate`] parser exists so tests and smoke checks can assert
-//! that an exported file *is* JSON without pulling in a real parser.
+//! so the writer side needs only escaping and finite-number formatting.
+//! Tests check that exported documents *are* JSON by reading them back
+//! through the workspace's one parser, `kcb_util::json::parse_value` (a
+//! dev-dependency only).
 
 /// Appends `s` to `out` as a JSON string literal (with quotes).
 pub fn write_str(out: &mut String, s: &str) {
@@ -35,207 +36,18 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Checks that `s` is one complete, well-formed JSON value. Returns the
-/// byte offset and message of the first error. Values are not built —
-/// this is a validator, not a parser.
-pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut p = Cursor { b, i: 0 };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.i != b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
-}
-
-struct Cursor<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Cursor<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.eat("true"),
-            Some(b'f') => self.eat("false"),
-            Some(b'n') => self.eat("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.i += 1; // '{'
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.eat(":")?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.i += 1; // '['
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        if self.peek() != Some(b'"') {
-            return Err(self.err("expected a string"));
-        }
-        self.i += 1;
-        while let Some(c) = self.peek() {
-            match c {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'u') => {
-                            if self.b.len() < self.i + 5
-                                || !self.b[self.i + 1..self.i + 5]
-                                    .iter()
-                                    .all(u8::is_ascii_hexdigit)
-                            {
-                                return Err(self.err("bad \\u escape"));
-                            }
-                            self.i += 5;
-                        }
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                }
-                c if c < 0x20 => return Err(self.err("raw control character in string")),
-                _ => self.i += 1,
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let digits = |p: &mut Self| {
-            let s = p.i;
-            while p.peek().is_some_and(|c| c.is_ascii_digit()) {
-                p.i += 1;
-            }
-            p.i > s
-        };
-        if !digits(self) {
-            return Err(self.err("expected digits"));
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            if !digits(self) {
-                return Err(self.err("expected fraction digits"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            if !digits(self) {
-                return Err(self.err("expected exponent digits"));
-            }
-        }
-        let _ = start;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn escapes_and_validates_round_trip() {
+        let raw = "a\"b\\c\nd\te\u{1}";
         let mut out = String::new();
-        write_str(&mut out, "a\"b\\c\nd\te\u{1}");
+        write_str(&mut out, raw);
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
-        validate(&out).unwrap();
-    }
-
-    #[test]
-    fn validates_nested_documents() {
-        validate(r#"{"a":[1,2.5,-3e2,{"b":null},true,false,"x"],"c":{}}"#).unwrap();
-        validate("[]").unwrap();
-        validate("  42 ").unwrap();
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["{", "[1,]", "{\"a\":}", "\"unterminated", "01x", "{\"a\" 1}", "[1] extra"] {
-            assert!(validate(bad).is_err(), "accepted {bad:?}");
-        }
+        let back = kcb_util::json::parse_value(&out).unwrap();
+        assert_eq!(back.as_str(), Some(raw));
     }
 
     #[test]

@@ -32,6 +32,7 @@ use kcb_core::snapshot::Snapshot;
 use kcb_obs::live::{HistSnapshot, LiveHistogram};
 use kcb_ontology::Relation;
 use kcb_util::rng::Rng;
+use kcb_util::{fnv1a_step, FNV_OFFSET};
 use serde_json::{json, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -78,19 +79,6 @@ impl BenchConfig {
         let (clients, requests) = if fast { (4, 64) } else { (8, 256) };
         Self { clients, requests, threads, queue_cap: 4096, batch_max: 32, pipeline: 16, seed, fast }
     }
-}
-
-/// FNV-1a 64-bit fold over `bytes`, continuing from `h` (seed with
-/// [`FNV_OFFSET`]).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a step over a byte slice.
-pub fn fnv64(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The deterministic request stream for one client: a fixed mix of the
@@ -207,7 +195,7 @@ fn run_client(
             reply.clear();
             reader.read_line(&mut reply)?;
             hist.record(t0.elapsed().as_micros() as u64);
-            checksum = fnv64(checksum, reply.as_bytes());
+            checksum = fnv1a_step(checksum, reply.as_bytes());
         }
     }
     Ok(ClientResult { latencies: hist.snapshot(), checksum })
@@ -217,7 +205,7 @@ fn run_client(
 fn combine(checksums: &[u64]) -> String {
     let mut h = FNV_OFFSET;
     for &c in checksums {
-        h = fnv64(h, &c.to_be_bytes());
+        h = fnv1a_step(h, &c.to_be_bytes());
     }
     format!("{h:016x}")
 }
@@ -317,8 +305,8 @@ pub fn run(snap: Arc<Snapshot>, cfg: &BenchConfig) -> Value {
             let q0 = Instant::now();
             let reply = engine::answer_serial(&snap, bert.as_ref(), req);
             serial_hist.record(q0.elapsed().as_micros() as u64);
-            h = fnv64(h, reply.as_bytes());
-            h = fnv64(h, b"\n");
+            h = fnv1a_step(h, reply.as_bytes());
+            h = fnv1a_step(h, b"\n");
         }
         serial_checksums.push(h);
     }

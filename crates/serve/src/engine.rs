@@ -270,7 +270,6 @@ fn worker_loop(inner: &Inner) {
         let batch_id = inner.batch_seq.fetch_add(1, Ordering::Relaxed) + 1;
         m.batch_size.record(n as u64);
         m.in_flight.add(n as i64);
-        kcb_obs::series("serve.batch_size", n as f64);
         kcb_obs::counter("serve.requests", n as u64);
         let drained_at = m.timing().then(Instant::now);
         let (outcomes, replies) = serve_batch(&inner.snap, bert.as_ref(), &batch);

@@ -251,7 +251,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 8, "2 markers + 2x3 records");
         for line in &lines {
-            kcb_obs::json::validate(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            kcb_util::json::parse_value(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
         assert!(lines[0].contains(r#""reason":"overload""#), "{}", lines[0]);
         assert!(lines[4].contains(r#""reason":"shutdown""#), "{}", lines[4]);

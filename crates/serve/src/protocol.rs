@@ -470,8 +470,7 @@ mod tests {
             render_proba(9, 0.5),
             render_shutdown(10),
         ] {
-            kcb_obs::json::validate(&reply).unwrap_or_else(|e| panic!("{reply}: {e}"));
-            let v = parse_value(&reply).unwrap();
+            let v = parse_value(&reply).unwrap_or_else(|e| panic!("{reply}: {e}"));
             assert!(v.get("id").is_some() && v.get("ok").is_some(), "{reply}");
         }
         assert!(render_overloaded(2).contains(r#""error":"overloaded""#));

@@ -12,10 +12,11 @@
 
 use kcb_core::lab::{Lab, LabConfig};
 use kcb_core::snapshot::{Snapshot, SnapshotSpec};
-use kcb_serve::bench::{client_workload, fnv64, FNV_OFFSET};
+use kcb_serve::bench::client_workload;
 use kcb_serve::engine::{answer_serial, Engine, EngineConfig};
 use kcb_serve::protocol::{self, Op, Request};
 use kcb_serve::server::{Server, ServerConfig};
+use kcb_util::{fnv1a_step, FNV_OFFSET};
 use std::io::{BufRead, BufReader, Write};
 use std::sync::{mpsc, Arc};
 
@@ -118,6 +119,33 @@ fn overflow_sheds_typed_replies_and_stays_bounded() {
 }
 
 #[test]
+fn recorded_batches_leave_no_per_batch_series() {
+    let snap = frozen();
+    const N: u64 = 32;
+    kcb_obs::set_enabled(true);
+    // batch_max 1 and one request in flight at a time: N batches.
+    let engine = Engine::start(
+        Arc::clone(&snap),
+        &EngineConfig { workers: 1, queue_cap: 8, batch_max: 1, ..EngineConfig::default() },
+    );
+    for i in 0..N {
+        let (tx, rx) = mpsc::channel();
+        engine.submit(Request { id: i, op: Op::Classify { s: 0, r: 0, o: 1 } }, tx);
+        rx.recv().expect("reply");
+    }
+    let stats = engine.shutdown();
+    let telemetry = kcb_obs::drain();
+    kcb_obs::set_enabled(false);
+    assert_eq!(stats.served, N);
+    assert!(telemetry.counters.get("serve.requests").is_some_and(|&n| n >= N), "recorder was on");
+    // Batch sizes go to the bounded live histogram only; a long-lived
+    // daemon must not grow the recorder by one sample per batch.
+    let serve_series: Vec<&String> =
+        telemetry.series.keys().filter(|k| k.starts_with("serve.")).collect();
+    assert!(serve_series.is_empty(), "per-batch series recorded: {serve_series:?}");
+}
+
+#[test]
 fn tcp_server_answers_the_protocol_and_drains_on_shutdown() {
     let lab = Lab::new(LabConfig::tiny());
     let mut snap = Snapshot::freeze(&lab, SnapshotSpec { bert: false, ..SnapshotSpec::default() });
@@ -173,8 +201,8 @@ fn workload_generation_is_deterministic_and_fnv_is_stable() {
     assert_eq!(a, b);
     let c = client_workload(&snap, 7, 4, 32);
     assert_ne!(a, c, "different clients draw different streams");
-    assert_eq!(fnv64(FNV_OFFSET, b""), FNV_OFFSET);
-    assert_ne!(fnv64(FNV_OFFSET, b"a"), fnv64(FNV_OFFSET, b"b"));
+    assert_eq!(fnv1a_step(FNV_OFFSET, b""), FNV_OFFSET);
+    assert_ne!(fnv1a_step(FNV_OFFSET, b"a"), fnv1a_step(FNV_OFFSET, b"b"));
     // Round-trip every generated request through the wire format.
     for req in &a {
         assert_eq!(protocol::parse_request(&protocol::render_request(req)).unwrap(), *req);

@@ -235,6 +235,10 @@ mod tests {
         assert_eq!(a[2].as_f64(), Some(2.5));
         assert_eq!(a[3].as_str(), Some("x\n\"y\""));
         assert!(a[4].get("b").unwrap().is_null());
+        assert_eq!(parse_value("[]").unwrap(), Value::Array(Vec::new()));
+        assert_eq!(parse_value("  42 ").unwrap().as_u64(), Some(42));
+        let v = parse_value(r#"{"e":-3e2,"c":{}}"#).unwrap();
+        assert_eq!((v["e"].as_f64(), v["c"].clone()), (Some(-300.0), Value::Object(Vec::new())));
         for bad in ["{", "[1,]", "{\"a\":}", "\"oops", "01x", "[1] extra", "{\"a\" 1}"] {
             assert!(parse_value(bad).is_err(), "accepted {bad:?}");
         }
