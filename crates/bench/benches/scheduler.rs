@@ -1,6 +1,6 @@
 //! Cell-scheduler throughput: a synthetic DAG shaped like the artifact
-//! plan (providers feeding a wide fan-out of cells, plus driver-only
-//! assembly barriers) at 1 / 2 / max worker threads. On a single-core
+//! plan (providers feeding a wide fan-out of cells, plus an assembly
+//! barrier) at 1 / 2 / max worker threads. On a single-core
 //! host the thread counts should tie; with real cores the multi-worker
 //! configurations show the cell-level speedup.
 
@@ -18,25 +18,24 @@ fn cell_work(seed: u64) -> f64 {
     acc
 }
 
-/// A plan-shaped DAG: `providers` dep-free jobs, `cells` parallel jobs
-/// each depending on one provider, one driver assembly depending on all
-/// cells.
+/// A plan-shaped DAG: `providers` dep-free jobs, `cells` jobs each
+/// depending on one provider, one assembly depending on all cells.
 fn run_plan_shaped(workers: usize, providers: usize, cells: usize) -> f64 {
     let mut g = Graph::new();
     let provider_ids: Vec<_> = (0..providers)
-        .map(|p| g.add_par(format!("provider:{p}"), &[], move || {
+        .map(|p| g.add(format!("provider:{p}"), &[], move || {
             black_box(cell_work(p as u64));
         }))
         .collect();
     let cell_ids: Vec<_> = (0..cells)
         .map(|i| {
             let dep = provider_ids[i % providers];
-            g.add_par(format!("cell:{i}"), &[dep], move || {
+            g.add(format!("cell:{i}"), &[dep], move || {
                 black_box(cell_work(i as u64));
             })
         })
         .collect();
-    g.add_driver("artifact:final", &cell_ids, || {});
+    g.add("artifact:final", &cell_ids, || {});
     let report = g.run(workers);
     report.wall_seconds
 }
@@ -60,7 +59,7 @@ fn bench_scheduler(c: &mut Criterion) {
             let mut prev = None;
             for i in 0..200usize {
                 let deps: Vec<_> = prev.into_iter().collect();
-                prev = Some(g.add_par(format!("j{i}"), &deps, move || {
+                prev = Some(g.add(format!("j{i}"), &deps, move || {
                     black_box(i);
                 }));
             }

@@ -55,10 +55,9 @@ pub fn run(lab: &Lab, quant: bool, threads: usize, fast: bool) -> Value {
     kcb_obs::reset();
     kcb_obs::set_enabled(true);
 
-    let shared = lab.shared();
-    let o = shared.ontology();
-    let table = shared.glove_chem();
-    let split = shared.split(TaskKind::RandomNegatives);
+    let o = lab.ontology();
+    let table = lab.glove_chem();
+    let split = lab.split(TaskKind::RandomNegatives);
     let mut legs: Vec<Leg> = Vec::new();
 
     // Nearest-neighbour lookups over the most frequent vocabulary tokens
@@ -80,8 +79,8 @@ pub fn run(lab: &Lab, quant: bool, threads: usize, fast: bool) -> Value {
 
     // Triple classification: encode with the same (model, adaptation)
     // pair the forest was fitted on, then score.
-    let forest_run = shared.forest_run(TaskKind::RandomNegatives, "glove-chem", "naive");
-    let enc = TokenAvgEncoder::new(shared.embedding("glove-chem"), Adaptation::Naive);
+    let forest_run = lab.forest_run(TaskKind::RandomNegatives, "glove-chem", "naive");
+    let enc = TokenAvgEncoder::new(lab.embedding("glove-chem"), Adaptation::Naive);
     let n = cls_q.min(split.test.len());
     legs.push(timed("triple-classify", n, |i| {
         let v = compose::triple_vector(o, split.test[i].triple, &enc);
@@ -90,7 +89,7 @@ pub fn run(lab: &Lab, quant: bool, threads: usize, fast: bool) -> Value {
 
     // BERT sequence scoring over tokenized test triples.
     let (bert, _) = lab.bert();
-    let wp = shared.wordpiece();
+    let wp = lab.wordpiece();
     let n = bert_q.min(split.test.len());
     legs.push(timed("bert-cls", n, |i| {
         let ids = compose::triple_token_ids(o, split.test[i].triple, wp);

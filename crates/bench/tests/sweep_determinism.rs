@@ -11,6 +11,10 @@ use std::path::{Path, PathBuf};
 
 const GRID: &str = "seeds=7,8;scenarios=0,1;paradigms=sup,icl;model=random;adapt=naive";
 
+/// Every language-model job kind: PubmedBERT forest cells, fine-tuning
+/// and BioGPT prompting.
+const LM_GRID: &str = "seeds=7;scenarios=0;paradigms=sup,ft,icl;model=pubmedbert;oracles=biogpt";
+
 fn spec(workers: usize) -> SweepSpec {
     SweepSpec { workers, journal: None, store: None }
 }
@@ -42,24 +46,26 @@ fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 #[test]
 fn analysis_tables_are_byte_identical_across_worker_counts() {
     let base = LabConfig::tiny();
-    let grid = GridSpec::parse(GRID).expect("valid grid");
-    let (d1, d4) = (tmp("w1"), tmp("w4"));
-    let o1 = run_sweep(&base, &grid, &spec(1));
-    let o4 = run_sweep(&base, &grid, &spec(4));
-    analysis::write_analysis(&d1, &o1).expect("write w1");
-    analysis::write_analysis(&d4, &o4).expect("write w4");
-    let (f1, f4) = (files(&d1), files(&d4));
-    assert!(f1.len() >= 4, "analysis dir has the tables: {:?}", f1.keys());
-    assert_eq!(
-        f1.keys().collect::<Vec<_>>(),
-        f4.keys().collect::<Vec<_>>(),
-        "same file set at 1 vs 4 workers"
-    );
-    for (name, bytes) in &f1 {
-        assert_eq!(bytes, &f4[name], "{name} differs between 1 and 4 workers");
+    for (i, text) in [GRID, LM_GRID].into_iter().enumerate() {
+        let grid = GridSpec::parse(text).expect("valid grid");
+        let (d1, d4) = (tmp(&format!("g{i}-w1")), tmp(&format!("g{i}-w4")));
+        let o1 = run_sweep(&base, &grid, &spec(1));
+        let o4 = run_sweep(&base, &grid, &spec(4));
+        analysis::write_analysis(&d1, &o1).expect("write w1");
+        analysis::write_analysis(&d4, &o4).expect("write w4");
+        let (f1, f4) = (files(&d1), files(&d4));
+        assert!(f1.len() >= 4, "analysis dir has the tables: {:?}", f1.keys());
+        assert_eq!(
+            f1.keys().collect::<Vec<_>>(),
+            f4.keys().collect::<Vec<_>>(),
+            "{text}: same file set at 1 vs 4 workers"
+        );
+        for (name, bytes) in &f1 {
+            assert_eq!(bytes, &f4[name], "{text}: {name} differs between 1 and 4 workers");
+        }
+        let _ = std::fs::remove_dir_all(&d1);
+        let _ = std::fs::remove_dir_all(&d4);
     }
-    let _ = std::fs::remove_dir_all(&d1);
-    let _ = std::fs::remove_dir_all(&d4);
 }
 
 #[test]

@@ -34,16 +34,13 @@ pub fn table4(lab: &Lab) -> Artifact {
                 test: full.test[..full.test.len().min(cap / 4)].to_vec(),
                 task,
             };
-            let (bert, snapshot) = lab.bert();
-            bert.restore(snapshot);
             let run = run_fine_tune(
                 lab.ontology(),
                 &split,
-                bert,
+                &lab.bert().1.instantiate(),
                 lab.wordpiece(),
                 &lab.config().ft_schedule,
             );
-            bert.restore(snapshot);
             vec![
                 run.sizes.0 as f64,
                 run.sizes.1 as f64,
@@ -86,13 +83,9 @@ mod tests {
     use crate::lab::LabConfig;
 
     #[test]
-    fn table4_runs_all_tasks_and_restores_bert() {
+    fn table4_runs_all_tasks_and_leaves_bert_unchanged() {
         let lab = Lab::new(LabConfig::tiny());
-        let before = {
-            let (bert, snapshot) = lab.bert();
-            bert.restore(snapshot);
-            bert.predict_proba(&[2, 7, 8])
-        };
+        let before = lab.bert().0.predict_proba(&[2, 7, 8]);
         let a = table4(&lab);
         let rows = a.json.as_array().unwrap();
         assert_eq!(rows.len(), 3);
@@ -101,8 +94,12 @@ mod tests {
             assert!((0.0..=1.0).contains(&acc));
             assert!(r["train"].as_u64().unwrap() > 0);
         }
-        // Lab BERT is back at its pre-trained checkpoint afterwards.
-        let (bert, _) = lab.bert();
-        assert_eq!(bert.predict_proba(&[2, 7, 8]), before);
+        // Fine-tuning trained private copies: the lab's pre-trained model
+        // and weights are untouched.
+        let (bert, weights) = lab.bert();
+        assert_eq!(bert.predict_proba(&[2, 7, 8]).to_bits(), before.to_bits());
+        for (live, sealed) in bert.snapshot().iter().zip(weights.weights()) {
+            assert_eq!(live.as_slice(), sealed.as_slice());
+        }
     }
 }

@@ -69,29 +69,13 @@ pub fn table6(lab: &Lab) -> Artifact {
             [("glove-chem", "naive"), ("w2v-chem", "naive"), ("pubmedbert", "none")]
         {
             let run = lab.forest_run(task, model, adapt);
-            // Re-evaluate the cached forest on exactly the sampled triples.
-            let preds: Vec<bool> = {
-                // The cached run used the same encoder family; rebuild it
-                // to featurise the sample.
-                if model == "pubmedbert" {
-                    let (bert, snapshot) = lab.bert();
-                    bert.restore(snapshot);
-                    let enc = crate::compose::BertClsEncoder::new(bert, lab.wordpiece());
-                    sample
-                        .iter()
-                        .map(|e| run.forest.predict(&triple_vector(lab.ontology(), e.triple, &enc)))
-                        .collect()
-                } else {
-                    let enc = crate::compose::TokenAvgEncoder::new(
-                        lab.embedding(model),
-                        lab.adaptation(adapt, model),
-                    );
-                    sample
-                        .iter()
-                        .map(|e| run.forest.predict(&triple_vector(lab.ontology(), e.triple, &enc)))
-                        .collect()
-                }
-            };
+            // Re-evaluate the cached forest on exactly the sampled triples,
+            // featurised by the same encoder family.
+            let enc = lab.encoder(model, adapt);
+            let preds: Vec<bool> = sample
+                .iter()
+                .map(|e| run.forest.predict(&triple_vector(lab.ontology(), e.triple, enc.as_ref())))
+                .collect();
             let labels: Vec<bool> = sample.iter().map(|e| e.label).collect();
             // Macro-averaged for the forests vs positive-class for the ICL
             // row above — intentionally mirroring the paper's own Table 6,

@@ -1,36 +1,31 @@
 //! The artifact cell DAG: decomposes the requested tables/figures into
 //! provider jobs (ontology, datasets, corpora, embeddings, LM
 //! checkpoints), warm cells keyed by `(artifact-family, paradigm, task,
-//! scenario, model, adaptation)`, and one driver-side assembly job per
-//! artifact, then executes the whole graph on the [`crate::sched`]
-//! work-stealing scheduler.
+//! scenario, model, adaptation)`, and one assembly job per artifact, then
+//! executes the whole graph on the [`crate::sched`] work-stealing
+//! scheduler. Every job — PubmedBERT forests, fine-tuning and BioGPT
+//! prompting included — may run on any worker.
 //!
-//! Warm cells populate the [`crate::lab::Shared`] memo caches (forest
-//! runs, LSTM runs, scenario scores, the triple-encoding cache); the
-//! assembly jobs then re-run the ordinary [`crate::experiment::run`]
-//! runners, which hit those caches and emit artifacts in the *same
-//! canonical order and bytes* at any worker count — every cached value is
-//! a pure function of the lab seed, never of scheduling. Cells shared by
-//! several artifacts (e.g. the fine-tuned-BERT series of Figures 3/A2, or
-//! the Task-1 forest grid reused by Tables 3a/A7 and Figures 2/A1) are
-//! deduplicated by key, so requesting `all` runs each cell exactly once.
-//!
-//! Anything touching the `Rc`-autograd MiniBERT/BioGPT checkpoints
-//! (PubmedBERT forest cells, fine-tuning, BioGPT prompting) is pushed as
-//! a driver-only job; everything else fans out to worker threads.
+//! Warm cells populate the [`Lab`] memo caches (forest runs, LSTM runs,
+//! scenario scores, the triple-encoding cache); the assembly jobs then
+//! re-run the ordinary [`crate::experiment::run`] runners, which hit those
+//! caches and emit artifacts in the *same canonical order and bytes* at
+//! any worker count — every cached value is a pure function of the lab
+//! seed, never of scheduling. Cells shared by several artifacts (e.g. the
+//! fine-tuned-BERT series of Figures 3/A2, or the Task-1 forest grid
+//! reused by Tables 3a/A7 and Figures 2/A1) are deduplicated by key, so
+//! requesting `all` runs each cell exactly once.
 
 use super::{scenarios, supervised};
 use crate::dataset::SCENARIOS;
 use crate::journal;
-use crate::lab::{Lab, Shared, EMBEDDING_NAMES};
+use crate::lab::{Lab, EMBEDDING_NAMES};
 use crate::report::Artifact;
 use crate::sched::{Graph, JobDone, JobId, RunReport};
 use crate::task::TaskKind;
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// What a scheduled run did, for `results/run_meta.json`.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -230,8 +225,7 @@ pub(crate) fn providers<'a>(
     need: &ProviderNeed,
     provenance: &mut Provenance,
 ) -> Providers {
-    let shared: &'a Shared = lab.shared();
-    let cfg_digest = shared.config_digest();
+    let cfg_digest = lab.config_digest();
 
     // Cache-aware DAG pruning: freshness is probed *once, at graph-build
     // time*. A provider whose checkpoint is known-fresh becomes a
@@ -242,7 +236,7 @@ pub(crate) fn providers<'a>(
     // nothing at all. Pruning the edges (not just the job bodies) also
     // lets the corpus generators be skipped whenever every trained
     // consumer is fresh, which is every warm run — not just `--fast`.
-    let wp_fresh = shared.provider_fresh("wordpiece");
+    let wp_fresh = lab.provider_fresh("wordpiece");
     // The LM keys fold in the WordPiece vocabulary size, so probing them
     // materialises WordPiece. Only probe when that materialisation is a
     // cheap checkpoint decode — a cold run must never train WordPiece
@@ -252,7 +246,7 @@ pub(crate) fn providers<'a>(
     let embed_fresh: HashMap<&'static str, bool> = need
         .embeds
         .iter()
-        .map(|&n| (n, n != "random" && shared.provider_fresh(&format!("embed-{n}"))))
+        .map(|&n| (n, n != "random" && lab.provider_fresh(&format!("embed-{n}"))))
         .collect();
     let any_embed_training = need.embeds.iter().any(|&n| n != "random" && !embed_fresh[n]);
     // The corpora exist only to feed trainers; when every trainer that
@@ -265,41 +259,41 @@ pub(crate) fn providers<'a>(
     let generic_needed = any_embed_training || bert_training;
 
     let record = |provenance: &mut Provenance, label: &str, name: &str| {
-        provenance.provider(label, shared.provider_input_key(name), &cfg_digest);
+        provenance.provider(label, lab.provider_input_key(name), &cfg_digest);
     };
 
     let olabel = format!("provider:{prefix}ontology");
     record(provenance, &olabel, "ontology");
-    let ontology = g.add_par(olabel, &[], move || {
-        shared.ontology();
+    let ontology = g.add(olabel, &[], move || {
+        lab.ontology();
     });
     let dlabel = format!("provider:{prefix}corpus-domain");
     record(provenance, &dlabel, "corpus-domain");
     let domain = if domain_needed {
-        g.add_par(dlabel, &[ontology], move || {
-            shared.domain_sentences();
+        g.add(dlabel, &[ontology], move || {
+            lab.domain_sentences();
         })
     } else {
-        g.add_par(dlabel, &[], move || {
-            shared.note_provider_skip();
+        g.add(dlabel, &[], move || {
+            lab.note_provider_skip();
         })
     };
     let glabel = format!("provider:{prefix}corpus-generic");
     record(provenance, &glabel, "corpus-generic");
     let generic = if generic_needed {
-        g.add_par(glabel, &[], move || {
-            shared.generic_sentences();
+        g.add(glabel, &[], move || {
+            lab.generic_sentences();
         })
     } else {
-        g.add_par(glabel, &[], move || {
-            shared.note_provider_skip();
+        g.add(glabel, &[], move || {
+            lab.note_provider_skip();
         })
     };
     let task: [JobId; 3] = TaskKind::ALL.map(|t| {
         let label = format!("provider:{prefix}task{}", t.number());
         record(provenance, &label, &format!("task{}", t.number()));
-        g.add_par(label, &[ontology], move || {
-            shared.task(t);
+        g.add(label, &[ontology], move || {
+            lab.task(t);
         })
     });
     let split: Option<[JobId; 3]> = need.splits.then(|| {
@@ -307,8 +301,8 @@ pub(crate) fn providers<'a>(
             let t = TaskKind::ALL[i];
             let label = format!("provider:{prefix}split{}", t.number());
             record(provenance, &label, &format!("split{}", t.number()));
-            g.add_par(label, &[task[i]], move || {
-                shared.split(t);
+            g.add(label, &[task[i]], move || {
+                lab.split(t);
             })
         })
     });
@@ -319,11 +313,11 @@ pub(crate) fn providers<'a>(
             if name == "random" || fresh { &[] } else { &[domain, generic] };
         let label = format!("provider:{prefix}embed-{name}");
         record(provenance, &label, &format!("embed-{name}"));
-        let id = g.add_par(label, deps, move || {
+        let id = g.add(label, deps, move || {
             if fresh {
-                shared.note_provider_skip();
+                lab.note_provider_skip();
             } else {
-                shared.embedding(name);
+                lab.embedding(name);
             }
         });
         embed.insert(name, id);
@@ -332,11 +326,11 @@ pub(crate) fn providers<'a>(
         let wp_deps: &[JobId] = if wp_fresh { &[] } else { &[domain] };
         let label = format!("provider:{prefix}wordpiece");
         record(provenance, &label, "wordpiece");
-        g.add_par(label, wp_deps, move || {
+        g.add(label, wp_deps, move || {
             if wp_fresh {
-                shared.note_provider_skip();
+                lab.note_provider_skip();
             } else {
-                shared.wordpiece();
+                lab.wordpiece();
             }
         })
     });
@@ -345,9 +339,9 @@ pub(crate) fn providers<'a>(
         let bert_deps: &[JobId] = if bert_fresh { &[] } else { &[wp, domain, generic] };
         let label = format!("provider:{prefix}bert");
         record(provenance, &label, "bert");
-        g.add_driver(label, bert_deps, move || {
+        g.add(label, bert_deps, move || {
             if bert_fresh {
-                lab.shared().note_provider_skip();
+                lab.note_provider_skip();
             } else {
                 lab.bert();
             }
@@ -358,9 +352,9 @@ pub(crate) fn providers<'a>(
         let biogpt_deps: &[JobId] = if biogpt_fresh { &[] } else { &[wp, domain] };
         let label = format!("provider:{prefix}biogpt");
         record(provenance, &label, "biogpt");
-        g.add_driver(label, biogpt_deps, move || {
+        g.add(label, biogpt_deps, move || {
             if biogpt_fresh {
-                lab.shared().note_provider_skip();
+                lab.note_provider_skip();
             } else {
                 lab.biogpt();
             }
@@ -375,7 +369,6 @@ pub(crate) struct Cells<'g, 'a> {
     pub g: &'g mut Graph<'a>,
     pub keyed: &'g mut HashMap<String, JobId>,
     pub lab: &'a Lab,
-    pub shared: &'a Shared,
     pub prov: &'g Providers,
     /// Labels the run journal already recorded as completed.
     pub completed: &'g HashSet<String>,
@@ -391,7 +384,7 @@ pub(crate) struct Cells<'g, 'a> {
 }
 
 impl<'a> Cells<'_, 'a> {
-    fn dedup(&mut self, key: String, deps: &[JobId], f: CellClosure<'a>) -> JobId {
+    fn dedup(&mut self, key: String, deps: &[JobId], f: impl FnOnce() + Send + 'a) -> JobId {
         if let Some(&id) = self.keyed.get(&key) {
             return id;
         }
@@ -403,46 +396,41 @@ impl<'a> Cells<'_, 'a> {
         // the assembly runner — so skipping them can never change bytes.
         let id = if self.completed.contains(&label) {
             self.replayed.insert(label.clone());
-            match f {
-                CellClosure::Par(_) => self.g.add_par(label, &[], || {}),
-                CellClosure::Driver(_) => self.g.add_driver(label, &[], || {}),
-            }
+            self.g.add(label, &[], || {})
         } else {
             let dep_labels: Vec<String> =
                 deps.iter().map(|&d| self.g.label_of(d).to_string()).collect();
             self.provenance.job(&label, self.cfg_digest, &dep_labels);
-            match f {
-                CellClosure::Par(f) => self.g.add_par(label, deps, f),
-                CellClosure::Driver(f) => self.g.add_driver(label, deps, f),
-            }
+            self.g.add(label, deps, f)
         };
         self.keyed.insert(key, id);
         id
     }
 
-    fn forest(&mut self, task: TaskKind, model: &'static str, adapt: &'static str) -> JobId {
-        let key = format!("forest|{}|{model}|{adapt}", task.number());
+    /// The provider a supervised model's encoder reads.
+    fn encoder_provider(&self, model: &str) -> JobId {
         if model == "pubmedbert" {
-            let lab = self.lab;
-            let deps = [self.prov.split(task.number() - 1), self.prov.bert()];
-            self.dedup(key, &deps, CellClosure::Driver(Box::new(move || {
-                lab.forest_run(task, model, adapt);
-            })))
+            self.prov.bert()
         } else {
-            let shared = self.shared;
-            let deps = [self.prov.split(task.number() - 1), self.prov.embed(model)];
-            self.dedup(key, &deps, CellClosure::Par(Box::new(move || {
-                shared.forest_run(task, model, adapt);
-            })))
+            self.prov.embed(model)
         }
     }
 
+    fn forest(&mut self, task: TaskKind, model: &'static str, adapt: &'static str) -> JobId {
+        let key = format!("forest|{}|{model}|{adapt}", task.number());
+        let deps = [self.prov.split(task.number() - 1), self.encoder_provider(model)];
+        let lab = self.lab;
+        self.dedup(key, &deps, move || {
+            lab.forest_run(task, model, adapt);
+        })
+    }
+
     fn lstm(&mut self, model: &'static str) -> JobId {
-        let shared = self.shared;
         let deps = [self.prov.split(0), self.prov.embed(model)];
-        self.dedup(format!("lstm|{model}"), &deps, CellClosure::Par(Box::new(move || {
-            shared.lstm_run(model);
-        })))
+        let lab = self.lab;
+        self.dedup(format!("lstm|{model}"), &deps, move || {
+            lab.lstm_run(model);
+        })
     }
 
     pub(crate) fn scenario_rf(
@@ -454,61 +442,45 @@ impl<'a> Cells<'_, 'a> {
     ) -> JobId {
         let sc = SCENARIOS[sc_index];
         let key = format!("rf|{}|{}|{}|{model}|{adapt}", task.number(), sc.split, sc.pos_ratio);
-        if model == "pubmedbert" {
-            let lab = self.lab;
-            let deps = [self.prov.task(task.number() - 1), self.prov.bert()];
-            self.dedup(key, &deps, CellClosure::Driver(Box::new(move || {
-                scenarios::rf_f1_pubmedbert(lab, task, sc);
-            })))
-        } else {
-            let shared = self.shared;
-            let deps = [self.prov.task(task.number() - 1), self.prov.embed(model)];
-            self.dedup(key, &deps, CellClosure::Par(Box::new(move || {
-                scenarios::rf_f1_warm(shared, task, sc, model, adapt);
-            })))
-        }
+        let deps = [self.prov.task(task.number() - 1), self.encoder_provider(model)];
+        let lab = self.lab;
+        self.dedup(key, &deps, move || {
+            scenarios::scenario_cell(lab, task, sc, model, adapt);
+        })
     }
 
     pub(crate) fn scenario_ft(&mut self, task: TaskKind, sc_index: usize) -> JobId {
         let sc = SCENARIOS[sc_index];
         let key = format!("ft|{}|{}|{}", task.number(), sc.split, sc.pos_ratio);
-        let lab = self.lab;
         let deps = [self.prov.task(task.number() - 1), self.prov.bert()];
-        self.dedup(key, &deps, CellClosure::Driver(Box::new(move || {
+        let lab = self.lab;
+        self.dedup(key, &deps, move || {
             scenarios::ft_f1(lab, task, sc);
-        })))
+        })
     }
 
     /// An ICL paradigm cell: scenario-independent by construction (the
     /// paper's horizontal reference line — in-context learning consumes
     /// no training data), so every scenario variant of an oracle shares
-    /// one cell. Simulated oracles are pure `Send` state and fan out;
-    /// BioGPT-mini needs the `!Send` checkpoint and stays on the driver.
+    /// one cell.
     pub(crate) fn icl(&mut self, task: TaskKind, oracle: &'static str) -> JobId {
         let key = format!("icl|{}|{oracle}", task.number());
+        let mut deps = vec![self.prov.task(task.number() - 1)];
         if oracle == "biogpt-mini" {
-            let lab = self.lab;
-            let deps = [self.prov.task(task.number() - 1), self.prov.biogpt()];
-            self.dedup(key, &deps, CellClosure::Driver(Box::new(move || {
-                scenarios::icl_stats_biogpt(lab, task);
-            })))
-        } else {
-            let shared = self.shared;
-            let deps = [self.prov.task(task.number() - 1)];
-            self.dedup(key, &deps, CellClosure::Par(Box::new(move || {
-                scenarios::icl_stats_warm(shared, task, oracle);
-            })))
+            deps.push(self.prov.biogpt());
         }
+        let lab = self.lab;
+        self.dedup(key, &deps, move || {
+            scenarios::icl_stats(lab, task, oracle);
+        })
     }
 
     fn gpt4(&mut self, task: TaskKind) -> JobId {
-        let shared = self.shared;
         let deps = [self.prov.task(task.number() - 1)];
-        self.dedup(format!("gpt4|{}", task.number()), &deps, CellClosure::Par(Box::new(
-            move || {
-                scenarios::gpt4_f1_warm(shared, task);
-            },
-        )))
+        let lab = self.lab;
+        self.dedup(format!("gpt4|{}", task.number()), &deps, move || {
+            scenarios::gpt4_f1(lab, task);
+        })
     }
 
     /// The dependency set for one artifact id: warm cells where the
@@ -648,7 +620,7 @@ impl<'a> Cells<'_, 'a> {
                 d
             }
             // Extensions and anything not modelled above: all providers, so the
-            // runner only does its own novel work on the driver.
+            // runner only does its own novel work.
             _ => {
                 let mut d = self.prov.splits();
                 d.push(self.prov.bert());
@@ -657,11 +629,6 @@ impl<'a> Cells<'_, 'a> {
             }
         }
     }
-}
-
-enum CellClosure<'a> {
-    Par(Box<dyn FnOnce() + Send + 'a>),
-    Driver(Box<dyn FnOnce() + 'a>),
 }
 
 /// Runs the given artifact ids through the cell scheduler with `workers`
@@ -681,154 +648,51 @@ pub fn run_scheduled(
 /// payloads), and every job this run completes is appended to the journal
 /// — fsynced before the job's dependents can observe its result — so the
 /// *next* interruption loses at most the job in flight.
-/// Opens the run journal named by `spec` and loads its replay state:
-/// `(stats, writer, replay)`. A `None` spec (journaling off) and an
-/// unopenable journal file both degrade to a disabled writer. Shared by
-/// the single-run path and the sweep compiler.
-pub(crate) fn open_journal(
-    spec: Option<&JournalSpec>,
-) -> (JournalStats, Option<journal::Writer>, journal::Replay) {
-    let mut jstats = JournalStats::default();
-    let mut writer: Option<journal::Writer> = None;
-    let mut replay = journal::Replay::default();
-    if let Some(spec) = spec {
-        jstats.enabled = true;
-        let path = journal::journal_path(&spec.dir);
-        replay = journal::load(&path);
-        if let Some(w) = &replay.warning {
-            eprintln!("warning: {w}");
-            jstats.warnings += 1;
-        }
-        jstats.resume = !replay.records.is_empty();
-        match journal::Writer::open(&path, replay.records.len() as u64) {
-            Ok(w) => writer = Some(w),
-            Err(e) => {
-                eprintln!("warning: cannot open journal {} ({e}); journaling off", path.display());
-                jstats.enabled = false;
-            }
-        }
-    }
-    (jstats, writer, replay)
-}
-
 pub fn run_scheduled_with(
     lab: &Lab,
     ids: &[&str],
     workers: usize,
     spec: Option<&JournalSpec>,
 ) -> (Vec<(String, Artifact)>, PlanReport) {
-    // Replay: load whatever an earlier run journaled under this config.
-    let (mut jstats, writer, replay) = open_journal(spec);
-    let completed = replay.completed();
-
-    // Digests of artifacts assembled *this* run, filled by the assembly
-    // closures (driver thread) and read by the completion hook right
-    // after — so the journal records each artifact's payload checksum.
-    let digests: Mutex<HashMap<String, String>> = Mutex::new(HashMap::new());
+    let journal = RunJournal::open(spec);
+    let completed = journal.completed();
     let mut replayed: HashSet<String> = HashSet::new();
+    let ids: Vec<String> = ids.iter().map(|s| s.to_ascii_lowercase()).collect();
+    let slots: Vec<OnceLock<Artifact>> = ids.iter().map(|_| OnceLock::new()).collect();
 
     let mut g = Graph::new();
     let mut provenance = Provenance::default();
-    let cfg_digest = lab.shared().config_digest();
+    let cfg_digest = lab.config_digest();
     let prov = providers(&mut g, lab, "", &ProviderNeed::all(), &mut provenance);
     let mut keyed: HashMap<String, JobId> = HashMap::new();
-
-    let ids: Vec<String> = ids.iter().map(|s| s.to_ascii_lowercase()).collect();
-    let mut slots: Vec<Rc<RefCell<Option<Artifact>>>> = Vec::with_capacity(ids.len());
-    for id in &ids {
-        let label = format!("artifact:{id}");
-        let slot: Rc<RefCell<Option<Artifact>>> = Rc::default();
-        let out = slot.clone();
-
-        // Journal replay: an artifact whose assembly already committed is
-        // re-emitted from its persisted payload, verified against the
-        // journaled digest. Verification failure (deleted / corrupted
-        // payload) falls back to ordinary reassembly.
-        let replayed_artifact = spec.filter(|_| completed.contains(&label)).and_then(|s| {
-            replay.digest_of(&label).and_then(|want| load_artifact(&s.dir, id, want))
-        });
-        if let Some(a) = replayed_artifact {
-            replayed.insert(label.clone());
-            let mut a = Some(a);
-            g.add_driver(label, &[], move || {
-                *out.borrow_mut() = a.take();
-            });
-            slots.push(slot);
-            continue;
-        }
-
-        let mut deps = {
-            let mut cells = Cells {
-                g: &mut g,
-                keyed: &mut keyed,
-                lab,
-                shared: lab.shared(),
-                prov: &prov,
-                completed: &completed,
-                replayed: &mut replayed,
-                prefix: "",
-                provenance: &mut provenance,
-                cfg_digest: &cfg_digest,
-            };
-            cells.deps_for(id)
-        };
-        deps.sort_unstable();
-        deps.dedup();
-        let dep_labels: Vec<String> = deps.iter().map(|&d| g.label_of(d).to_string()).collect();
-        provenance.job(&label, &cfg_digest, &dep_labels);
-        let id_owned = id.clone();
-        let journal_dir = spec.map(|s| s.dir.clone());
-        let digests = &digests;
-        g.add_driver(label.clone(), &deps, move || {
-            let art = super::run(lab, &id_owned);
-            if let Some(dir) = &journal_dir {
-                if let Some(a) = &art {
-                    match persist_artifact(dir, &id_owned, a) {
-                        Ok(fnv) => {
-                            digests.lock().expect("digest table").insert(label.clone(), fnv);
-                        }
-                        Err(e) => eprintln!("warning: artifact payload persist failed: {e}"),
-                    }
-                }
-                // Refresh the derived checkpoint after every artifact so a
-                // resumed run finds the memo caches its no-op cells warmed.
-                lab.save_checkpoints();
-            }
-            *out.borrow_mut() = art;
-        });
-        slots.push(slot);
-    }
-
-    // The completion hook: journal every job executed this run (replayed
-    // no-ops are already in the journal) together with its input
-    // provenance, then give the injected fault a chance to kill the
-    // process at this exact boundary.
-    let provenance = provenance; // frozen: the hook only reads it
-    let hook = |d: &JobDone<'_>| {
-        if replayed.contains(d.label) {
-            return;
-        }
-        let Some(w) = &writer else { return };
-        let digest =
-            digests.lock().expect("digest table").get(d.label).cloned().unwrap_or_default();
-        let n = w.append(d.label, d.kind, &digest, d.seconds, d.worker, provenance.inputs_of(d.label));
-        if let Some(f) = spec.and_then(|s| s.fault) {
-            f.check(n);
-        }
+    let mut cells = Cells {
+        g: &mut g,
+        keyed: &mut keyed,
+        lab,
+        prov: &prov,
+        completed: &completed,
+        replayed: &mut replayed,
+        prefix: "",
+        provenance: &mut provenance,
+        cfg_digest: &cfg_digest,
     };
+    for (id, slot) in ids.iter().zip(&slots) {
+        let owned = id.clone();
+        journal.add_artifact(&mut cells, id, slot, |c| c.deps_for(id), move || {
+            super::run(lab, &owned)
+        });
+    }
 
     let run_span = kcb_obs::span("sched", "graph:run")
         .arg("jobs", g.len())
         .arg("workers", workers);
-    let scheduler = g.run_hooked(workers, writer.is_some().then_some(&hook as _));
+    let (scheduler, jstats) = journal.run(g, workers, &replayed, &provenance);
     run_span.end();
-    jstats.appended = writer.as_ref().map(journal::Writer::appended).unwrap_or(0);
-    jstats.replayed = replayed.len() as u64;
 
     let artifacts: Vec<(String, Artifact)> = ids
         .into_iter()
         .zip(slots)
-        .filter_map(|(id, slot)| slot.borrow_mut().take().map(|a| (id, a)))
+        .filter_map(|(id, slot)| slot.into_inner().map(|a| (id, a)))
         .collect();
     let (encoding_hits, encoding_misses) = lab.encodings().hit_miss();
     let report = PlanReport {
@@ -845,10 +709,159 @@ pub fn run_scheduled_with(
     (artifacts, report)
 }
 
+/// One run's journal side, shared by the single-run path and the sweep
+/// compiler: the replay state loaded at graph-build time, the writer the
+/// completion hook appends through, and the digests of the artifacts
+/// assembled this run.
+pub(crate) struct RunJournal<'s> {
+    spec: Option<&'s JournalSpec>,
+    stats: JournalStats,
+    writer: Option<journal::Writer>,
+    replay: journal::Replay,
+    /// Filled by the assembly jobs, read by the completion hook right
+    /// after, so the journal records each artifact's payload checksum.
+    digests: Mutex<HashMap<String, String>>,
+}
+
+impl<'s> RunJournal<'s> {
+    /// Opens the run journal named by `spec` and loads its replay state.
+    /// A `None` spec (journaling off) and an unopenable journal file both
+    /// degrade to a disabled writer.
+    pub(crate) fn open(spec: Option<&'s JournalSpec>) -> Self {
+        let mut stats = JournalStats::default();
+        let mut writer: Option<journal::Writer> = None;
+        let mut replay = journal::Replay::default();
+        if let Some(spec) = spec {
+            stats.enabled = true;
+            let path = journal::journal_path(&spec.dir);
+            replay = journal::load(&path);
+            if let Some(w) = &replay.warning {
+                eprintln!("warning: {w}");
+                stats.warnings += 1;
+            }
+            stats.resume = !replay.records.is_empty();
+            match journal::Writer::open(&path, replay.records.len() as u64) {
+                Ok(w) => writer = Some(w),
+                Err(e) => {
+                    eprintln!(
+                        "warning: cannot open journal {} ({e}); journaling off",
+                        path.display()
+                    );
+                    stats.enabled = false;
+                }
+            }
+        }
+        Self { spec, stats, writer, replay, digests: Mutex::new(HashMap::new()) }
+    }
+
+    /// Labels the journal already recorded as completed.
+    pub(crate) fn completed(&self) -> HashSet<String> {
+        self.replay.completed()
+    }
+
+    /// Pushes the assembly job of artifact `id`, whose output lands in
+    /// `slot`. An artifact whose assembly already committed is re-emitted
+    /// from its persisted payload, verified against the journaled digest,
+    /// with no dependencies. Otherwise `deps` schedules its cells and the
+    /// job runs `build`; when journaling, it persists the payload and
+    /// refreshes the derived checkpoint, so a resumed run finds the memo
+    /// caches its no-op cells warmed.
+    pub(crate) fn add_artifact<'g, 'a>(
+        &'a self,
+        cells: &mut Cells<'g, 'a>,
+        id: &str,
+        slot: &'a OnceLock<Artifact>,
+        deps: impl FnOnce(&mut Cells<'g, 'a>) -> Vec<JobId>,
+        build: impl FnOnce() -> Option<Artifact> + Send + 'a,
+    ) {
+        let label = format!("artifact:{id}");
+        // Verification failure (deleted / corrupted payload) falls back
+        // to ordinary reassembly.
+        let replayed = self.spec.and_then(|s| {
+            self.replay.digest_of(&label).and_then(|want| load_artifact(&s.dir, id, want))
+        });
+        if let Some(a) = replayed {
+            cells.replayed.insert(label.clone());
+            cells.g.add(label, &[], move || {
+                let _ = slot.set(a);
+            });
+            return;
+        }
+        let mut deps = deps(cells);
+        deps.sort_unstable();
+        deps.dedup();
+        let dep_labels: Vec<String> =
+            deps.iter().map(|&d| cells.g.label_of(d).to_string()).collect();
+        cells.provenance.job(&label, cells.cfg_digest, &dep_labels);
+        let (lab, id) = (cells.lab, id.to_string());
+        let dir = self.spec.map(|s| s.dir.as_path());
+        let digests = &self.digests;
+        cells.g.add(label.clone(), &deps, move || {
+            let art = build();
+            if let Some(dir) = dir {
+                if let Some(a) = &art {
+                    match persist_artifact(dir, &id, a) {
+                        Ok(fnv) => {
+                            digests.lock().expect("digest table").insert(label, fnv);
+                        }
+                        Err(e) => eprintln!("warning: artifact payload persist failed: {e}"),
+                    }
+                }
+                lab.save_checkpoints();
+            }
+            if let Some(a) = art {
+                let _ = slot.set(a);
+            }
+        });
+    }
+
+    /// Runs the graph with the completion hook attached and returns the
+    /// scheduler report plus this run's journal activity. The hook
+    /// appends a job together with its input provenance only when the
+    /// record adds information — a label the journal lacks, or an
+    /// artifact reassembled to a different digest — so re-running a
+    /// journaled config appends nothing. Then the injected fault gets a
+    /// chance to kill the process at this exact boundary.
+    pub(crate) fn run(
+        &self,
+        g: Graph<'_>,
+        workers: usize,
+        replayed: &HashSet<String>,
+        provenance: &Provenance,
+    ) -> (RunReport, JournalStats) {
+        // Later records win: the latest digest per label.
+        let latest: HashMap<&str, &str> =
+            self.replay.records.iter().map(|r| (r.label.as_str(), r.digest.as_str())).collect();
+        let hook = |d: &JobDone<'_>| {
+            let Some(w) = &self.writer else { return };
+            if replayed.contains(d.label) {
+                return;
+            }
+            let digest = self.digests.lock().expect("digest table").get(d.label).cloned();
+            let digest = digest.unwrap_or_default();
+            if latest.get(d.label) == Some(&digest.as_str()) {
+                return;
+            }
+            let inputs = provenance.inputs_of(d.label);
+            let n = w.append(d.label, d.kind, &digest, d.seconds, d.worker, inputs);
+            if let Some(f) = self.spec.and_then(|s| s.fault) {
+                f.check(n);
+            }
+        };
+        let scheduler = g.run_hooked(workers, self.writer.is_some().then_some(&hook as _));
+        let stats = JournalStats {
+            appended: self.writer.as_ref().map(journal::Writer::appended).unwrap_or(0),
+            replayed: replayed.len() as u64,
+            ..self.stats.clone()
+        };
+        (scheduler, stats)
+    }
+}
+
 /// Persists one assembled artifact's replay payload under the run
 /// directory (tmp + rename, so a crash mid-write can never leave a
 /// payload that passes the digest check) and returns its FNV-64.
-pub(crate) fn persist_artifact(dir: &Path, id: &str, a: &Artifact) -> std::io::Result<String> {
+fn persist_artifact(dir: &Path, id: &str, a: &Artifact) -> std::io::Result<String> {
     let path = journal::artifact_path(dir, id);
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
@@ -863,7 +876,7 @@ pub(crate) fn persist_artifact(dir: &Path, id: &str, a: &Artifact) -> std::io::R
 
 /// Loads a persisted artifact payload when its bytes still match the
 /// journaled digest `want`; otherwise `None` (caller reassembles).
-pub(crate) fn load_artifact(dir: &Path, id: &str, want: &str) -> Option<Artifact> {
+fn load_artifact(dir: &Path, id: &str, want: &str) -> Option<Artifact> {
     let path = journal::artifact_path(dir, id);
     let text = std::fs::read_to_string(&path).ok()?;
     if journal::fnv64_hex(text.as_bytes()) != want {
@@ -897,5 +910,41 @@ pub(crate) fn record_counters(r: &PlanReport) {
     }
     if r.journal.enabled {
         kcb_obs::counter("journal.replayed", r.journal.replayed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lab::LabConfig;
+
+    fn payloads(arts: &[(String, Artifact)]) -> Vec<(String, String)> {
+        arts.iter().map(|(id, a)| (id.clone(), a.to_replay_json().render_json(None))).collect()
+    }
+
+    #[test]
+    fn rerunning_a_journaled_config_appends_nothing() {
+        const IDS: [&str; 2] = ["table2", "tablea6"];
+        let dir = std::env::temp_dir().join(format!("kcb-plan-rerun-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = JournalSpec { dir: dir.clone(), fault: None };
+        let path = journal::journal_path(&dir);
+
+        let (first, r1) = run_scheduled_with(&Lab::new(LabConfig::tiny()), &IDS, 2, Some(&spec));
+        let journaled = journal::load(&path);
+        assert_eq!(r1.journal.appended, journaled.records.len() as u64);
+
+        let (second, r2) = run_scheduled_with(&Lab::new(LabConfig::tiny()), &IDS, 2, Some(&spec));
+        assert!(r2.journal.resume);
+        assert_eq!(r2.journal.appended, 0, "a complete journal gains no records");
+        assert!(r2.journal.replayed >= IDS.len() as u64, "artifacts replay from payloads");
+        assert_eq!(payloads(&first), payloads(&second));
+        let replay = journal::load(&path);
+        assert_eq!(replay.records.len(), journaled.records.len());
+        for id in IDS {
+            let label = format!("artifact:{id}");
+            assert_eq!(replay.digest_of(&label), journaled.digest_of(&label), "{label}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,14 +19,15 @@
 //!
 //! Every leg carries a `pass` flag against the documented tolerances and
 //! the document has a top-level conjunction; CI fails the metric-parity
-//! job when it is false. Models touched here are snapshot/restored, so a
-//! calibration run never perturbs later artifact assembly.
+//! job when it is false. The int8 legs run private model copies, so a
+//! calibration run never touches the lab's shared models.
 
 use crate::compose::{self, TokenAvgEncoder};
 use crate::dataset::{scenario_split, SCENARIOS};
 use crate::lab::Lab;
 use crate::task::TaskKind;
 use kcb_embed::{EmbeddingModel, EmbeddingTable, QuantizedEmbeddingTable};
+use kcb_lm::{MiniBert, MiniGpt};
 use kcb_ml::linalg::Matrix;
 use kcb_ml::quant::QuantizedMatrix;
 use serde_json::{json, Value};
@@ -79,17 +80,16 @@ fn max_abs_delta(a: &[f32], b: &[f32]) -> f64 {
 /// Runs the full calibration against `lab` and returns the
 /// `quant_calibration.json` document.
 pub fn calibrate(lab: &Lab) -> Value {
-    let shared = lab.shared();
-    let o = shared.ontology();
-    let split = shared.split(TaskKind::RandomNegatives);
+    let o = lab.ontology();
+    let split = lab.split(TaskKind::RandomNegatives);
 
     // Embedding tables: reconstruction error + neighbour overlap.
     let mut embeddings: Vec<Value> = Vec::new();
     let mut all_pass = true;
     for name in ["w2v-chem", "glove-chem"] {
         let t = match name {
-            "w2v-chem" => shared.w2v_chem(),
-            _ => shared.glove_chem(),
+            "w2v-chem" => lab.w2v_chem(),
+            _ => lab.glove_chem(),
         };
         let q = QuantizedEmbeddingTable::quantize(t);
         let overlap = topk_overlap(t, &q, 20, 10);
@@ -107,8 +107,8 @@ pub fn calibrate(lab: &Lab) -> Value {
     }
 
     // Table 4 slice: BERT probabilities under int8-dequantized weights.
-    let (bert, _) = lab.bert();
-    let wp = shared.wordpiece();
+    let (bert, bert_weights) = lab.bert();
+    let wp = lab.wordpiece();
     let probes: Vec<Vec<u32>> = split
         .test
         .iter()
@@ -116,11 +116,10 @@ pub fn calibrate(lab: &Lab) -> Value {
         .map(|e| compose::triple_token_ids(o, e.triple, wp))
         .collect();
     let probe_refs: Vec<&[u32]> = probes.iter().map(Vec::as_slice).collect();
-    let bert_weights = bert.snapshot();
     let probs_f32 = bert.predict_proba_batch(&probe_refs);
-    bert.restore(&quantize_weights(&bert_weights));
-    let probs_int8 = bert.predict_proba_batch(&probe_refs);
-    bert.restore(&bert_weights);
+    let bert_int8 = MiniBert::new(*bert.config());
+    bert_int8.restore(&quantize_weights(bert_weights.weights()));
+    let probs_int8 = bert_int8.predict_proba_batch(&probe_refs);
     let bert_delta = max_abs_delta(&probs_f32, &probs_int8);
     let bert_pass = bert_delta <= TOL_METRIC_DELTA;
     all_pass &= bert_pass;
@@ -133,11 +132,10 @@ pub fn calibrate(lab: &Lab) -> Value {
     // Table 5 slice: BioGPT losses (the deterministic quantity behind its
     // sampled verdicts) and their pairwise ordering.
     let gpt = lab.biogpt().gpt_model();
-    let gpt_weights = gpt.snapshot();
     let losses_f32: Vec<f32> = probe_refs.iter().map(|ids| gpt.loss(ids)).collect();
-    gpt.restore(&quantize_weights(&gpt_weights));
-    let losses_int8: Vec<f32> = probe_refs.iter().map(|ids| gpt.loss(ids)).collect();
-    gpt.restore(&gpt_weights);
+    let gpt_int8 = MiniGpt::new(*gpt.config());
+    gpt_int8.restore(&quantize_weights(&gpt.snapshot()));
+    let losses_int8: Vec<f32> = probe_refs.iter().map(|ids| gpt_int8.loss(ids)).collect();
     let gpt_delta = max_abs_delta(&losses_f32, &losses_int8);
     let mut pairs = 0usize;
     let mut agree = 0usize;
@@ -164,13 +162,13 @@ pub fn calibrate(lab: &Lab) -> Value {
     // cache with the other's rows.
     let sc = SCENARIOS[0];
     let sc_split = scenario_split(
-        shared.task(TaskKind::RandomNegatives),
-        shared.config().scenario_fraction,
+        lab.task(TaskKind::RandomNegatives),
+        lab.config().scenario_fraction,
         sc,
-        shared.config().seed,
+        lab.config().seed,
     );
-    let table = shared.glove_chem();
-    let adapt = shared.adaptation("naive", "glove-chem");
+    let table = lab.glove_chem();
+    let adapt = lab.adaptation("naive", "glove-chem");
     let f1_of = |model: &dyn EmbeddingModel| {
         let enc = TokenAvgEncoder::new(model, adapt.clone());
         crate::paradigm::ml::run_forest(
@@ -178,7 +176,7 @@ pub fn calibrate(lab: &Lab) -> Value {
             &sc_split.train,
             &sc_split.test,
             &enc,
-            &shared.config().rf,
+            &lab.config().rf,
         )
         .metrics
         .f1

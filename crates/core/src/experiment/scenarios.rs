@@ -6,7 +6,7 @@
 //! as a horizontal reference line.
 
 use crate::dataset::{scenario_split, Scenario, SCENARIOS};
-use crate::lab::{Lab, Shared, EMBEDDING_NAMES};
+use crate::lab::{Lab, EMBEDDING_NAMES};
 use crate::paradigm::icl::{build_examples, build_queries, QueryPolicy};
 use crate::report::Artifact;
 use crate::task::TaskKind;
@@ -21,58 +21,18 @@ use std::sync::Arc;
 // full cell identity) and every forest run encodes through the lab-wide
 // [`crate::compose::EncodingCache`].
 
-fn rf_key(task: TaskKind, sc: Scenario, model: &str, adapt: &str) -> String {
-    format!("rf|{}|{}|{}|{model}|{adapt}", task.number(), sc.split, sc.pos_ratio)
-}
-
-/// One token-embedding forest cell, computable from the [`Shared`] core
-/// alone — this is what the scheduler warms on worker threads.
-pub(crate) fn rf_f1_warm(
-    shared: &Shared,
-    task: TaskKind,
-    sc: Scenario,
-    model: &str,
-    adapt: &str,
-) -> f64 {
-    assert_ne!(model, "pubmedbert", "BERT cells are driver-only");
-    shared.memo_score(rf_key(task, sc, model, adapt), || {
-        let split = scenario_split(
-            shared.task(task),
-            shared.config().scenario_fraction,
-            sc,
-            shared.config().seed,
-        );
-        let enc = crate::compose::TokenAvgEncoder::new(
-            shared.embedding(model),
-            shared.adaptation(adapt, model),
-        );
-        crate::paradigm::ml::run_forest_cached(
-            shared.ontology(),
-            &split.train,
-            &split.test,
-            &enc,
-            &shared.config().rf,
-            Some(shared.encodings()),
-        )
-        .metrics
-        .f1
-    })
-}
-
-/// The PubmedBERT forest cell; needs the `!Send` checkpoint, so it runs
-/// on the driver thread.
-pub(crate) fn rf_f1_pubmedbert(lab: &Lab, task: TaskKind, sc: Scenario) -> f64 {
-    lab.memo_score(rf_key(task, sc, "pubmedbert", "none"), || {
+/// One forest cell — any supervised model, PubmedBERT included — on a
+/// scenario split. Exposed for integration tests and ablations.
+pub fn scenario_cell(lab: &Lab, task: TaskKind, sc: Scenario, model: &str, adapt: &str) -> f64 {
+    let key = format!("rf|{}|{}|{}|{model}|{adapt}", task.number(), sc.split, sc.pos_ratio);
+    lab.memo_score(key, || {
         let split =
             scenario_split(lab.task(task), lab.config().scenario_fraction, sc, lab.config().seed);
-        let (bert, snapshot) = lab.bert();
-        bert.restore(snapshot);
-        let enc = crate::compose::BertClsEncoder::new(bert, lab.wordpiece());
         crate::paradigm::ml::run_forest_cached(
             lab.ontology(),
             &split.train,
             &split.test,
-            &enc,
+            lab.encoder(model, adapt).as_ref(),
             &lab.config().rf,
             Some(lab.encodings()),
         )
@@ -81,30 +41,21 @@ pub(crate) fn rf_f1_pubmedbert(lab: &Lab, task: TaskKind, sc: Scenario) -> f64 {
     })
 }
 
-fn rf_f1(lab: &Lab, task: TaskKind, sc: Scenario, model: &str, adapt: &str) -> f64 {
-    if model == "pubmedbert" {
-        rf_f1_pubmedbert(lab, task, sc)
-    } else {
-        rf_f1_warm(lab.shared(), task, sc, model, adapt)
-    }
-}
-
+/// One fine-tuning cell: a private copy of the pre-trained mini-BERT,
+/// fine-tuned on the scenario split.
 pub(crate) fn ft_f1(lab: &Lab, task: TaskKind, sc: Scenario) -> f64 {
     let key = format!("ft|{}|{}|{}", task.number(), sc.split, sc.pos_ratio);
     lab.memo_score(key, || {
         let mut split =
             scenario_split(lab.task(task), lab.config().scenario_fraction, sc, lab.config().seed);
         split.train.truncate(lab.config().ft_train_cap);
-        let (bert, snapshot) = lab.bert();
-        bert.restore(snapshot);
         let run = crate::paradigm::ft::run_fine_tune(
             lab.ontology(),
             &split,
-            bert,
+            &lab.bert().1.instantiate(),
             lab.wordpiece(),
             &lab.config().ft_schedule,
         );
-        bert.restore(snapshot);
         // Figures compare macro-F1-like series; positive-class F1 is what
         // the paper plots for FT (its Table 4 convention).
         run.metrics.f1
@@ -113,83 +64,66 @@ pub(crate) fn ft_f1(lab: &Lab, task: TaskKind, sc: Scenario) -> f64 {
 
 /// GPT-4's score does not depend on the training data, so it is evaluated
 /// once per task on the constant scenario test set and shared by every
-/// figure that draws the reference line. Oracle simulation is pure `Send`
-/// state, so this cell is scheduler-warmable.
-pub(crate) fn gpt4_f1_warm(shared: &Shared, task: TaskKind) -> f64 {
+/// figure that draws the reference line.
+pub(crate) fn gpt4_f1(lab: &Lab, task: TaskKind) -> f64 {
     let key = format!("gpt4|{}", task.number());
-    shared.memo_score(key, || {
+    lab.memo_score(key, || {
         let split = scenario_split(
-            shared.task(task),
-            shared.config().scenario_fraction,
+            lab.task(task),
+            lab.config().scenario_fraction,
             SCENARIOS[0],
-            shared.config().seed,
+            lab.config().seed,
         );
-        let n = (split.test.len() / 2).min(shared.config().icl_queries);
+        let n = (split.test.len() / 2).min(lab.config().icl_queries);
         let items = build_queries(
-            shared.ontology(),
+            lab.ontology(),
             &split.test,
             task,
             QueryPolicy { n_per_class: n, is_a_only: false, max_tokens: usize::MAX },
-            shared.config().seed,
+            lab.config().seed,
         );
-        let builder = build_examples(shared.ontology(), &split.train, shared.config().seed);
+        let builder = build_examples(lab.ontology(), &split.train, lab.config().seed);
         let oracle = LlmOracle::new(OracleProfile::gpt4_sim());
-        run_protocol(&oracle, &builder, &items, PromptVariant::Base, 2, shared.config().seed)
-            .f1_mean
+        run_protocol(&oracle, &builder, &items, PromptVariant::Base, 2, lab.config().seed).f1_mean
     })
-}
-
-fn gpt4_f1(lab: &Lab, task: TaskKind) -> f64 {
-    gpt4_f1_warm(lab.shared(), task)
-}
-
-fn icl_key(task: TaskKind, oracle: &str) -> String {
-    format!("icl|{}|{oracle}", task.number())
 }
 
 /// The ICL paradigm cell shared by sweep variants: `[f1_mean, f1_sd,
-/// kappa]` for one (task, oracle) pair. Like the GPT-4 reference line,
-/// ICL consumes no training data, so the cell is scenario-independent —
-/// every scenario variant of a sweep shares it. Simulated oracles are
-/// pure `Send` state, so this cell is scheduler-warmable.
-pub(crate) fn icl_stats_warm(shared: &Shared, task: TaskKind, oracle: &str) -> Arc<Vec<f64>> {
-    let profile = match oracle {
-        "gpt-4-sim" => OracleProfile::gpt4_sim(),
-        "gpt-3.5-sim" => OracleProfile::gpt35_sim(),
-        "llama2-sim" => OracleProfile::llama2_sim(),
-        other => panic!("unknown simulated oracle {other:?}"),
-    };
-    shared.memo_vec(icl_key(task, oracle), || {
-        let model = LlmOracle::new(profile);
-        icl_stats(shared, task, &model)
+/// kappa]` for one (task, oracle) pair — a simulated oracle or the
+/// generative BioGPT-mini. Like the GPT-4 reference line, ICL consumes no
+/// training data, so the cell is scenario-independent: every scenario
+/// variant of a sweep shares it.
+pub(crate) fn icl_stats(lab: &Lab, task: TaskKind, oracle: &str) -> Arc<Vec<f64>> {
+    lab.memo_vec(format!("icl|{}|{oracle}", task.number()), || {
+        let profile = match oracle {
+            "biogpt-mini" => return icl_protocol(lab, task, lab.biogpt()),
+            "gpt-4-sim" => OracleProfile::gpt4_sim(),
+            "gpt-3.5-sim" => OracleProfile::gpt35_sim(),
+            "llama2-sim" => OracleProfile::llama2_sim(),
+            other => panic!("unknown oracle {other:?}"),
+        };
+        icl_protocol(lab, task, &LlmOracle::new(profile))
     })
 }
 
-/// The BioGPT-mini ICL cell; needs the `!Send` language-model checkpoint,
-/// so it runs on the driver thread.
-pub(crate) fn icl_stats_biogpt(lab: &Lab, task: TaskKind) -> Arc<Vec<f64>> {
-    let model = lab.biogpt();
-    lab.shared().memo_vec(icl_key(task, model.name()), || icl_stats(lab.shared(), task, model))
-}
-
-fn icl_stats(shared: &Shared, task: TaskKind, model: &dyn PromptedModel) -> Vec<f64> {
+fn icl_protocol(lab: &Lab, task: TaskKind, model: &dyn PromptedModel) -> Vec<f64> {
     let split = scenario_split(
-        shared.task(task),
-        shared.config().scenario_fraction,
+        lab.task(task),
+        lab.config().scenario_fraction,
         SCENARIOS[0],
-        shared.config().seed,
+        lab.config().seed,
     );
-    let n = (split.test.len() / 2).min(shared.config().icl_queries);
+    let n = (split.test.len() / 2).min(lab.config().icl_queries);
     let items = build_queries(
-        shared.ontology(),
+        lab.ontology(),
         &split.test,
         task,
         QueryPolicy { n_per_class: n, is_a_only: false, max_tokens: usize::MAX },
-        shared.config().seed,
+        lab.config().seed,
     );
-    let builder = build_examples(shared.ontology(), &split.train, shared.config().seed);
-    let repeats = shared.config().icl_repeats.max(2);
-    let r = run_protocol(model, &builder, &items, PromptVariant::Base, repeats, shared.config().seed);
+    let builder = build_examples(lab.ontology(), &split.train, lab.config().seed);
+    let repeats = lab.config().icl_repeats.max(2);
+    let r = run_protocol(model, &builder, &items, PromptVariant::Base, repeats, lab.config().seed);
     vec![r.f1_mean, r.f1_sd, r.kappa]
 }
 
@@ -215,7 +149,7 @@ fn scenario_figure(lab: &Lab, id: &str, title: &str, models: &[(&str, &str)]) ->
         for sc in SCENARIOS {
             let mut row = vec![sc.label()];
             for (model, adapt) in models {
-                let f1 = rf_f1(lab, task, sc, model, adapt);
+                let f1 = scenario_cell(lab, task, sc, model, adapt);
                 row.push(metric(f1));
                 json.push(serde_json::json!({
                     "task": task.number(), "scenario": sc.label(),
@@ -267,11 +201,6 @@ pub fn fig_a2(lab: &Lab) -> Artifact {
     )
 }
 
-/// A single scenario cell, exposed for integration tests and ablations.
-pub fn scenario_cell(lab: &Lab, task: TaskKind, sc: Scenario, model: &str, adapt: &str) -> f64 {
-    rf_f1(lab, task, sc, model, adapt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,8 +211,8 @@ mod tests {
         let lab = Lab::new(LabConfig::tiny());
         // Compare the most abundant vs the most extreme scenario for the
         // random-embedding forest on task 1 (the paper's sharpest drop).
-        let rich = rf_f1(&lab, TaskKind::RandomNegatives, SCENARIOS[0], "random", "naive");
-        let poor = rf_f1(&lab, TaskKind::RandomNegatives, SCENARIOS[4], "random", "naive");
+        let rich = scenario_cell(&lab, TaskKind::RandomNegatives, SCENARIOS[0], "random", "naive");
+        let poor = scenario_cell(&lab, TaskKind::RandomNegatives, SCENARIOS[4], "random", "naive");
         assert!(
             rich > poor + 0.03,
             "rich {rich} should clearly beat poor {poor} for random embeddings"

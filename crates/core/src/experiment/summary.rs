@@ -147,16 +147,13 @@ pub fn summary(lab: &Lab) -> Artifact {
         lab.config().seed,
     );
     split.train.truncate(lab.config().ft_train_cap);
-    let (bert, snapshot) = lab.bert();
-    bert.restore(snapshot);
     let ft = crate::paradigm::ft::run_fine_tune(
         lab.ontology(),
         &split,
-        bert,
+        &lab.bert().1.instantiate(),
         lab.wordpiece(),
         &lab.config().ft_schedule,
     );
-    bert.restore(snapshot);
     let ml_t3_poor = crate::experiment::scenarios::scenario_cell(
         lab,
         TaskKind::SiblingNegatives,

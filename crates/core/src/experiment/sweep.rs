@@ -20,21 +20,20 @@
 //! ChemTEB-style efficiency accounting (shared vs unique jobs, exclusive
 //! vs amortized seconds per variant).
 
-use super::plan::{self, Cells, JournalSpec, PlanReport, Provenance, ProviderNeed, Providers};
+use super::plan::{
+    self, Cells, JournalSpec, PlanReport, Provenance, ProviderNeed, Providers, RunJournal,
+};
 use super::{scenarios, supervised};
 use crate::dataset::SCENARIOS;
-use crate::journal;
 use crate::lab::{CacheStats, Lab, LabConfig, EMBEDDING_NAMES};
 use crate::report::Artifact;
-use crate::sched::{Graph, JobDone, JobId};
+use crate::sched::{Graph, JobId};
 use crate::task::TaskKind;
 use kcb_ml::kappa::{fleiss_kappa, ratings_from_answers};
 use kcb_ml::stats::welch_t_test;
 use kcb_util::fmt::metric;
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 /// The three NLP paradigms of the paper's central comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -478,7 +477,7 @@ fn lab_groups(base: &LabConfig, variants: &[Variant]) -> Vec<(String, LabConfig,
 /// resumes (journal replay matches) and across sweeps containing the same
 /// config.
 fn lab_prefix(cfg: &LabConfig) -> String {
-    let mut digest = Lab::new(cfg.clone()).shared().config_digest();
+    let mut digest = Lab::new(cfg.clone()).config_digest();
     digest.truncate(8);
     digest.push('/');
     digest
@@ -542,7 +541,7 @@ pub fn grid_digest(base: &LabConfig, grid: &GridSpec) -> String {
     let mut text = grid.render();
     for (_, cfg, _) in &groups {
         text.push('\x1f');
-        text.push_str(&Lab::new(cfg.clone()).shared().config_digest());
+        text.push_str(&Lab::new(cfg.clone()).config_digest());
     }
     format!("{:016x}", kcb_util::fnv1a(text.as_bytes()))
 }
@@ -560,8 +559,7 @@ pub struct TaskRow {
     pub kappa: Option<f64>,
 }
 
-/// Computes a variant's rows from (warm) lab caches. Runs on the driver
-/// thread — the BERT/BioGPT paradigms need the `!Send` checkpoints.
+/// Computes a variant's rows from (warm) lab caches.
 fn compute_rows(lab: &Lab, v: &Variant) -> Vec<TaskRow> {
     let sc = SCENARIOS[v.scenario];
     TaskKind::ALL
@@ -577,12 +575,7 @@ fn compute_rows(lab: &Lab, v: &Variant) -> Vec<TaskRow> {
                 TaskRow { task: t.number(), f1: scenarios::ft_f1(lab, t, sc), f1_sd: None, kappa: None }
             }
             Paradigm::Icl => {
-                let oracle = v.oracle.unwrap_or("gpt-4-sim");
-                let stats = if oracle == "biogpt-mini" {
-                    scenarios::icl_stats_biogpt(lab, t)
-                } else {
-                    scenarios::icl_stats_warm(lab.shared(), t, oracle)
-                };
+                let stats = scenarios::icl_stats(lab, t, v.oracle.unwrap_or("gpt-4-sim"));
                 TaskRow { task: t.number(), f1: stats[0], f1_sd: Some(stats[1]), kappa: Some(stats[2]) }
             }
         })
@@ -798,7 +791,7 @@ pub fn run_sweep(base: &LabConfig, grid: &GridSpec, spec: &SweepSpec) -> SweepOu
         })
         .collect();
     let prefixes: Vec<String> = groups.iter().map(|(_, cfg, _)| lab_prefix(cfg)).collect();
-    let cfg_digests: Vec<String> = labs.iter().map(|l| l.shared().config_digest()).collect();
+    let cfg_digests: Vec<String> = labs.iter().map(Lab::config_digest).collect();
     let needs: Vec<ProviderNeed> = groups
         .iter()
         .map(|(_, _, idxs)| {
@@ -810,10 +803,10 @@ pub fn run_sweep(base: &LabConfig, grid: &GridSpec, spec: &SweepSpec) -> SweepOu
         })
         .collect();
 
-    let (mut jstats, writer, replay) = plan::open_journal(spec.journal.as_ref());
-    let completed = replay.completed();
-    let digests: Mutex<HashMap<String, String>> = Mutex::new(HashMap::new());
+    let journal = RunJournal::open(spec.journal.as_ref());
+    let completed = journal.completed();
     let mut replayed: HashSet<String> = HashSet::new();
+    let slots: Vec<OnceLock<Artifact>> = variants.iter().map(|_| OnceLock::new()).collect();
 
     let mut g = Graph::new();
     let mut provenance = Provenance::default();
@@ -823,93 +816,32 @@ pub fn run_sweep(base: &LabConfig, grid: &GridSpec, spec: &SweepSpec) -> SweepOu
         .map(|(li, lab)| plan::providers(&mut g, lab, &prefixes[li], &needs[li], &mut provenance))
         .collect();
     let mut keyed: Vec<HashMap<String, JobId>> = vec![HashMap::new(); labs.len()];
-
-    let mut slots: Vec<Rc<RefCell<Option<Artifact>>>> = Vec::with_capacity(variants.len());
-    for (vi, v) in variants.iter().enumerate() {
+    for ((vi, v), slot) in variants.iter().enumerate().zip(&slots) {
         let li = owner[vi];
         let lab = &labs[li];
-        let vid = v.id();
-        let label = format!("artifact:{vid}");
-        let slot: Rc<RefCell<Option<Artifact>>> = Rc::default();
-        let out = slot.clone();
-
-        // Journal replay: re-emit a committed variant artifact from its
-        // persisted payload, digest-verified; fall back to reassembly.
-        let replayed_artifact =
-            spec.journal.as_ref().filter(|_| completed.contains(&label)).and_then(|s| {
-                replay.digest_of(&label).and_then(|want| plan::load_artifact(&s.dir, &vid, want))
-            });
-        if let Some(a) = replayed_artifact {
-            replayed.insert(label.clone());
-            let mut a = Some(a);
-            g.add_driver(label, &[], move || {
-                *out.borrow_mut() = a.take();
-            });
-            slots.push(slot);
-            continue;
-        }
-
-        let mut deps = {
-            let mut cells = Cells {
-                g: &mut g,
-                keyed: &mut keyed[li],
-                lab,
-                shared: lab.shared(),
-                prov: &provs[li],
-                completed: &completed,
-                replayed: &mut replayed,
-                prefix: &prefixes[li],
-                provenance: &mut provenance,
-                cfg_digest: &cfg_digests[li],
-            };
-            variant_cells(&mut cells, v)
+        let mut cells = Cells {
+            g: &mut g,
+            keyed: &mut keyed[li],
+            lab,
+            prov: &provs[li],
+            completed: &completed,
+            replayed: &mut replayed,
+            prefix: &prefixes[li],
+            provenance: &mut provenance,
+            cfg_digest: &cfg_digests[li],
         };
-        deps.sort_unstable();
-        deps.dedup();
-        let dep_labels: Vec<String> = deps.iter().map(|&d| g.label_of(d).to_string()).collect();
-        provenance.job(&label, &cfg_digests[li], &dep_labels);
-        let journal_dir = spec.journal.as_ref().map(|s| s.dir.clone());
-        let digests_ref = &digests;
-        let v = v.clone();
-        g.add_driver(label.clone(), &deps, move || {
-            let art = variant_artifact(lab, &v);
-            if let Some(dir) = &journal_dir {
-                match plan::persist_artifact(dir, &v.id(), &art) {
-                    Ok(fnv) => {
-                        digests_ref.lock().expect("digest table").insert(label.clone(), fnv);
-                    }
-                    Err(e) => eprintln!("warning: artifact payload persist failed: {e}"),
-                }
-                lab.save_checkpoints();
-            }
-            *out.borrow_mut() = Some(art);
+        let owned = v.clone();
+        journal.add_artifact(&mut cells, &v.id(), slot, |c| variant_cells(c, v), move || {
+            Some(variant_artifact(lab, &owned))
         });
-        slots.push(slot);
     }
-
-    let provenance = provenance; // frozen: the hook only reads it
-    let fault = spec.journal.as_ref().and_then(|s| s.fault);
-    let hook = |d: &JobDone<'_>| {
-        if replayed.contains(d.label) {
-            return;
-        }
-        let Some(w) = &writer else { return };
-        let digest =
-            digests.lock().expect("digest table").get(d.label).cloned().unwrap_or_default();
-        let n = w.append(d.label, d.kind, &digest, d.seconds, d.worker, provenance.inputs_of(d.label));
-        if let Some(f) = fault {
-            f.check(n);
-        }
-    };
 
     let run_span = kcb_obs::span("sched", "sweep:run")
         .arg("jobs", g.len())
         .arg("variants", variants.len())
         .arg("workers", spec.workers);
-    let scheduler = g.run_hooked(spec.workers, writer.is_some().then_some(&hook as _));
+    let (scheduler, jstats) = journal.run(g, spec.workers, &replayed, &provenance);
     run_span.end();
-    jstats.appended = writer.as_ref().map(journal::Writer::appended).unwrap_or(0);
-    jstats.replayed = replayed.len() as u64;
 
     // Per-variant outcomes: rows parse back out of the artifact (replayed
     // ones byte-for-byte), cost attribution splits measured job seconds
@@ -920,8 +852,8 @@ pub fn run_sweep(base: &LabConfig, grid: &GridSpec, spec: &SweepSpec) -> SweepOu
         splan.jobs.iter().map(|j| (j.label.as_str(), j.refs)).collect();
     let artifacts: Vec<(String, Artifact)> = variants
         .iter()
-        .zip(&slots)
-        .filter_map(|(v, slot)| slot.borrow_mut().take().map(|a| (v.id(), a)))
+        .zip(slots)
+        .filter_map(|(v, slot)| slot.into_inner().map(|a| (v.id(), a)))
         .collect();
     let outcomes: Vec<VariantOutcome> = variants
         .iter()

@@ -60,7 +60,8 @@ pub struct JobRecord {
     pub seq: u64,
     /// Scheduler job label (`provider:…`, `cell:…`, `artifact:…`).
     pub label: String,
-    /// `"par"` or `"driver"`.
+    /// The scheduler job kind, `"par"` (journals written before every job
+    /// became `Send` may also hold `"driver"`).
     pub kind: String,
     /// FNV-64 hex digest of the job's durable output (the persisted
     /// artifact payload for assembly jobs; empty for warm-up jobs whose
@@ -68,7 +69,7 @@ pub struct JobRecord {
     pub digest: String,
     /// Wall-clock seconds inside the job closure.
     pub seconds: f64,
-    /// Worker that executed the job (0 = driver thread).
+    /// Worker that executed the job (0 = the thread that ran the graph).
     pub worker: u64,
     /// Input provenance entries, `name=content-key` (the config digest
     /// plus, per dependency, its content-addressed checkpoint key), so

@@ -3,27 +3,20 @@
 //! Every table/figure runner needs the same expensive components: the
 //! synthetic ontology, the three task datasets, the two corpora, five
 //! trained embedding models, the WordPiece vocabulary, a pre-trained
-//! mini-BERT (with a weight snapshot so fine-tuning runs can restart from
-//! the same checkpoint) and the domain-pre-trained BioGPT-mini. [`Lab`]
-//! builds each lazily, exactly once, as a deterministic function of
-//! [`LabConfig`].
+//! mini-BERT and the domain-pre-trained BioGPT-mini. [`Lab`] builds each
+//! lazily, exactly once, as a deterministic function of [`LabConfig`].
 //!
-//! Since PR 2 the environment is split along the `Send`/`Sync` boundary:
-//!
-//! * [`Shared`] holds everything that is plain data once built — ontology,
-//!   datasets, corpora, embeddings, WordPiece, the forest/LSTM/score memo
-//!   caches and the [`crate::compose::EncodingCache`]. All of its caches
-//!   are thread-safe (`OnceLock` / mutex-guarded slot maps), so the cell
-//!   scheduler's worker threads can warm them concurrently; a slot that is
-//!   being computed blocks later requesters instead of recomputing.
-//! * [`Lab`] wraps a [`Shared`] and adds the two language models. Their
-//!   autograd tensors are `Rc<RefCell<…>>`-based (`!Send`), so BERT and
-//!   BioGPT live only on the thread that owns the `Lab` — the scheduler's
-//!   *driver* thread. `Lab` derefs to [`Shared`], so existing call sites
-//!   are oblivious to the split.
+//! A `Lab` is a cheap `Clone` handle on one `Send + Sync` state, handed to
+//! every scheduler job and held by the serving snapshot. All of its caches
+//! are thread-safe (`OnceLock` / mutex-guarded slot maps), so worker
+//! threads can warm them concurrently; a slot that is being computed
+//! blocks later requesters instead of recomputing. The two language
+//! models are shared read-only: nothing mutates them, and code that
+//! trains instantiates a private model from [`BertWeights`].
 
 use crate::adapt::{task_oriented_stopwords, Adaptation, TaskOrientedConfig};
 use crate::ckpt::{self, CkptStore};
+use crate::compose::{BertClsEncoder, ComponentEncoder, TokenAvgEncoder};
 use crate::dataset::Split;
 use crate::paradigm::ml::{run_lstm, ForestRun, LstmRun};
 use crate::task::{positive_triples, TaskDataset, TaskKind};
@@ -41,7 +34,6 @@ use kcb_text::{
 };
 use kcb_util::Rng;
 use parking_lot::Mutex;
-use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -258,9 +250,42 @@ pub struct CacheStats {
     pub provider_skips: usize,
 }
 
-/// The thread-safe core of the experiment environment: every component
-/// that is plain data once built. See the module docs for the split.
-pub struct Shared {
+/// Pre-trained mini-BERT weights plus the config to rebuild the model.
+/// Cheap to clone: the weights sit behind an `Arc`.
+#[derive(Clone)]
+pub struct BertWeights {
+    cfg: MiniBertConfig,
+    weights: Arc<Vec<Matrix>>,
+}
+
+impl BertWeights {
+    /// Builds a private model holding exactly these weights — what code
+    /// that fine-tunes starts from, and what each serving thread scores
+    /// with. It scores sequences byte-identically to [`Lab::bert`]'s model.
+    pub fn instantiate(&self) -> MiniBert {
+        let bert = MiniBert::new(self.cfg);
+        bert.restore(&self.weights);
+        bert
+    }
+
+    /// The weight matrices.
+    pub fn weights(&self) -> &[Matrix] {
+        &self.weights
+    }
+}
+
+/// Lazily-built, cached experiment environment; clones share one state.
+/// See the module docs.
+#[derive(Clone)]
+pub struct Lab(Arc<State>);
+
+// Every scheduler job borrows the lab, whatever worker it lands on.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Lab>();
+};
+
+struct State {
     cfg: LabConfig,
     ckpt: Option<Arc<CkptStore>>,
     ontology: OnceLock<Ontology>,
@@ -285,12 +310,32 @@ pub struct Shared {
     forest_hits: AtomicUsize,
     forest_misses: AtomicUsize,
     provider_skips: AtomicUsize,
+    bert: OnceLock<(MiniBert, BertWeights)>,
+    biogpt: OnceLock<BioGptMini>,
+    /// Serialises derived-checkpoint saves: assembly jobs on different
+    /// workers would otherwise race on the store's temporary file.
+    derived_save: Mutex<()>,
 }
 
-impl Shared {
-    fn new(cfg: LabConfig, ckpt: Option<Arc<CkptStore>>) -> Self {
+impl Lab {
+    /// Creates an environment (nothing is built yet).
+    pub fn new(cfg: LabConfig) -> Self {
+        Self::build(cfg, None)
+    }
+
+    /// Creates an environment backed by a persistent checkpoint store:
+    /// every provider loads from the store when a matching checkpoint
+    /// exists and trains (then saves) otherwise, and previously computed
+    /// derived results (memo scores/rows, forest and LSTM runs) are
+    /// replayed from the store's derived cache. Call
+    /// [`Lab::save_checkpoints`] after a run to persist the union.
+    pub fn with_checkpoints(cfg: LabConfig, store: Arc<CkptStore>) -> Self {
+        Self::build(cfg, Some(store))
+    }
+
+    fn build(cfg: LabConfig, ckpt: Option<Arc<CkptStore>>) -> Self {
         let random = RandomEmbedding::with_dim(cfg.embed_dim);
-        Self {
+        let lab = Self(Arc::new(State {
             cfg,
             ckpt,
             ontology: OnceLock::new(),
@@ -315,7 +360,12 @@ impl Shared {
             forest_hits: AtomicUsize::new(0),
             forest_misses: AtomicUsize::new(0),
             provider_skips: AtomicUsize::new(0),
-        }
+            bert: OnceLock::new(),
+            biogpt: OnceLock::new(),
+            derived_save: Mutex::new(()),
+        }));
+        lab.load_derived();
+        lab
     }
 
     /// The lab-wide triple-encoding cache (see
@@ -323,7 +373,7 @@ impl Shared {
     /// encodes via this cache, so the canonical splits and the §2.8
     /// scenario sweeps share triple vectors per encoder identity.
     pub fn encodings(&self) -> &crate::compose::EncodingCache {
-        &self.encodings
+        &self.0.encodings
     }
 
     /// Memoises an expensive scalar score under a caller-chosen key.
@@ -334,30 +384,30 @@ impl Shared {
     /// from any thread; concurrent same-key calls compute once (the rest
     /// block on the slot), different keys run in parallel.
     pub fn memo_score(&self, key: String, compute: impl FnOnce() -> f64) -> f64 {
-        let s = slot(&self.memo_scores, &key);
+        let s = slot(&self.0.memo_scores, &key);
         if let Some(v) = s.get() {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            self.0.memo_hits.fetch_add(1, Ordering::Relaxed);
             return *v;
         }
         *s.get_or_init(|| {
-            self.memo_misses.fetch_add(1, Ordering::Relaxed);
+            self.0.memo_misses.fetch_add(1, Ordering::Relaxed);
             compute()
         })
     }
 
     /// Memoises an expensive result row (a fixed-width vector of numbers)
     /// under a caller-chosen key — the vector-valued sibling of
-    /// [`Shared::memo_score`], sharing its hit/miss counters. Table runners
+    /// [`Lab::memo_score`], sharing its hit/miss counters. Table runners
     /// use it for rows the derived-results checkpoint can replay (a Table 4
     /// fine-tuning row, a Table 5 ICL result).
     pub fn memo_vec(&self, key: String, compute: impl FnOnce() -> Vec<f64>) -> Arc<Vec<f64>> {
-        let s = slot(&self.memo_vecs, &key);
+        let s = slot(&self.0.memo_vecs, &key);
         if let Some(v) = s.get() {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            self.0.memo_hits.fetch_add(1, Ordering::Relaxed);
             return v.clone();
         }
         s.get_or_init(|| {
-            self.memo_misses.fetch_add(1, Ordering::Relaxed);
+            self.0.memo_misses.fetch_add(1, Ordering::Relaxed);
             Arc::new(compute())
         })
         .clone()
@@ -366,21 +416,21 @@ impl Shared {
     /// Memo-cache hit/miss counters (for the scheduler report).
     pub fn cache_stats(&self) -> CacheStats {
         let (ckpt_hits, ckpt_misses) =
-            self.ckpt.as_deref().map(CkptStore::stats).unwrap_or((0, 0));
+            self.0.ckpt.as_deref().map(CkptStore::stats).unwrap_or((0, 0));
         CacheStats {
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.memo_misses.load(Ordering::Relaxed),
-            forest_hits: self.forest_hits.load(Ordering::Relaxed),
-            forest_misses: self.forest_misses.load(Ordering::Relaxed),
+            memo_hits: self.0.memo_hits.load(Ordering::Relaxed),
+            memo_misses: self.0.memo_misses.load(Ordering::Relaxed),
+            forest_hits: self.0.forest_hits.load(Ordering::Relaxed),
+            forest_misses: self.0.forest_misses.load(Ordering::Relaxed),
             ckpt_hits,
             ckpt_misses,
-            provider_skips: self.provider_skips.load(Ordering::Relaxed),
+            provider_skips: self.0.provider_skips.load(Ordering::Relaxed),
         }
     }
 
     /// The attached persistent checkpoint store, if any.
     pub fn checkpoint_store(&self) -> Option<&CkptStore> {
-        self.ckpt.as_deref()
+        self.0.ckpt.as_deref()
     }
 
     /// FNV-64 hex digest of the configuration with the forest thread knob
@@ -388,7 +438,7 @@ impl Shared {
     /// (`results/runs/<config-digest>/`), so re-running the same config
     /// resumes the same journal at any worker count.
     pub fn config_digest(&self) -> String {
-        let mut c = self.cfg.clone();
+        let mut c = self.0.cfg.clone();
         c.rf.n_threads = 0;
         format!("{:016x}", kcb_util::fnv1a(format!("{c:?}").as_bytes()))
     }
@@ -397,7 +447,7 @@ impl Shared {
     /// with the forest's thread knob normalised out (thread count is a
     /// wall-clock knob, never a results knob).
     fn derived_key(&self) -> String {
-        let mut c = self.cfg.clone();
+        let mut c = self.0.cfg.clone();
         c.rf.n_threads = 0;
         ckpt::digest_key(ckpt::SCHEMA_DERIVED, &[&format!("{c:?}")])
     }
@@ -405,22 +455,22 @@ impl Shared {
     /// Prefills the memo/forest/LSTM slot maps from the derived-results
     /// checkpoint (no-op without a store or on a cold/missing cache).
     fn load_derived(&self) {
-        let Some(store) = self.ckpt.as_deref() else { return };
+        let Some(store) = self.0.ckpt.as_deref() else { return };
         let Some(d) = store.take("derived", &self.derived_key(), ckpt::Derived::from_bytes)
         else {
             return;
         };
         for (k, v) in d.scores {
-            let _ = slot(&self.memo_scores, &k).set(v);
+            let _ = slot(&self.0.memo_scores, &k).set(v);
         }
         for (k, v) in d.vecs {
-            let _ = slot(&self.memo_vecs, &k).set(Arc::new(v));
+            let _ = slot(&self.0.memo_vecs, &k).set(Arc::new(v));
         }
         for (k, run) in d.forests {
-            let _ = slot(&self.forest_runs, &k).set(run);
+            let _ = slot(&self.0.forest_runs, &k).set(run);
         }
         for (k, run) in d.lstms {
-            let _ = slot(&self.lstm_runs, &k).set(run);
+            let _ = slot(&self.0.lstm_runs, &k).set(run);
         }
     }
 
@@ -429,24 +479,27 @@ impl Shared {
     /// sorted by key so the payload bytes are deterministic. No-op without
     /// a store.
     pub fn save_checkpoints(&self) {
-        let Some(store) = self.ckpt.as_deref() else { return };
+        let Some(store) = self.0.ckpt.as_deref() else { return };
+        // Held across snapshot and write, so a later save always covers
+        // an earlier one and never shares its temporary file.
+        let _save = self.0.derived_save.lock();
         let mut d = ckpt::Derived::default();
-        for (k, s) in self.memo_scores.lock().iter() {
+        for (k, s) in self.0.memo_scores.lock().iter() {
             if let Some(v) = s.get() {
                 d.scores.push((k.clone(), *v));
             }
         }
-        for (k, s) in self.memo_vecs.lock().iter() {
+        for (k, s) in self.0.memo_vecs.lock().iter() {
             if let Some(v) = s.get() {
                 d.vecs.push((k.clone(), (**v).clone()));
             }
         }
-        for (k, s) in self.forest_runs.lock().iter() {
+        for (k, s) in self.0.forest_runs.lock().iter() {
             if let Some(run) = s.get() {
                 d.forests.push((k.clone(), run.clone()));
             }
         }
-        for (k, s) in self.lstm_runs.lock().iter() {
+        for (k, s) in self.0.lstm_runs.lock().iter() {
             if let Some(run) = s.get() {
                 d.lstms.push((k.clone(), run.clone()));
             }
@@ -460,13 +513,14 @@ impl Shared {
 
     /// The configuration.
     pub fn config(&self) -> &LabConfig {
-        &self.cfg
+        &self.0.cfg
     }
 
     /// The synthetic ontology.
     pub fn ontology(&self) -> &Ontology {
-        self.ontology.get_or_init(|| {
-            SyntheticGenerator::new(SyntheticConfig { scale: self.cfg.scale, seed: self.cfg.seed })
+        self.0.ontology.get_or_init(|| {
+            let cfg = SyntheticConfig { scale: self.0.cfg.scale, seed: self.0.cfg.seed };
+            SyntheticGenerator::new(cfg)
                 .expect("valid synthetic config")
                 .generate()
         })
@@ -474,22 +528,22 @@ impl Shared {
 
     /// The full dataset for a task.
     pub fn task(&self, task: TaskKind) -> &TaskDataset {
-        self.tasks[task.number() - 1]
-            .get_or_init(|| TaskDataset::generate(self.ontology(), task, self.cfg.seed))
+        self.0.tasks[task.number() - 1]
+            .get_or_init(|| TaskDataset::generate(self.ontology(), task, self.0.cfg.seed))
     }
 
     /// The canonical 9:1 split for a task (the supervised-learning setup).
     pub fn split(&self, task: TaskKind) -> &Split {
-        self.splits[task.number() - 1]
-            .get_or_init(|| Split::nine_to_one(self.task(task), self.cfg.seed))
+        self.0.splits[task.number() - 1]
+            .get_or_init(|| Split::nine_to_one(self.task(task), self.0.cfg.seed))
     }
 
     /// Tokenized domain-corpus sentences (the chemistry-papers stand-in).
     pub fn domain_sentences(&self) -> &Vec<Vec<String>> {
-        self.domain_sentences.get_or_init(|| {
+        self.0.domain_sentences.get_or_init(|| {
             let cfg = CorpusConfig {
-                n_docs: self.cfg.n_domain_docs,
-                seed: self.cfg.seed,
+                n_docs: self.0.cfg.n_domain_docs,
+                seed: self.0.cfg.seed,
                 ..CorpusConfig::default()
             };
             let docs = DomainCorpusGenerator::new(self.ontology(), cfg).generate();
@@ -499,10 +553,10 @@ impl Shared {
 
     /// Tokenized generic-corpus sentences (the Common-Crawl stand-in).
     pub fn generic_sentences(&self) -> &Vec<Vec<String>> {
-        self.generic_sentences.get_or_init(|| {
+        self.0.generic_sentences.get_or_init(|| {
             let cfg = CorpusConfig {
-                n_docs: self.cfg.n_generic_docs,
-                seed: self.cfg.seed ^ 0x9e37,
+                n_docs: self.0.cfg.n_generic_docs,
+                seed: self.0.cfg.seed ^ 0x9e37,
                 ..CorpusConfig::default()
             };
             let docs = GenericCorpusGenerator::new(cfg).generate();
@@ -512,15 +566,15 @@ impl Shared {
 
     /// The random embedding model.
     pub fn random(&self) -> &RandomEmbedding {
-        &self.random
+        &self.0.random
     }
 
     /// The GloVe trainer configuration (shared by `glove` / `glove-chem`).
     fn glove_train_cfg(&self) -> glove::GloveConfig {
         glove::GloveConfig {
-            dim: self.cfg.embed_dim,
-            epochs: self.cfg.embed_epochs * 2,
-            seed: self.cfg.seed,
+            dim: self.0.cfg.embed_dim,
+            epochs: self.0.cfg.embed_epochs * 2,
+            seed: self.0.cfg.seed,
             ..glove::GloveConfig::default()
         }
     }
@@ -530,7 +584,7 @@ impl Shared {
     fn glove_ckpt_key(&self) -> String {
         ckpt::digest_key(
             ckpt::SCHEMA_GLOVE,
-            &[&format!("{:?}", self.glove_train_cfg()), &ckpt::generic_fp(&self.cfg)],
+            &[&format!("{:?}", self.glove_train_cfg()), &ckpt::generic_fp(&self.0.cfg)],
         )
     }
 
@@ -539,16 +593,16 @@ impl Shared {
     fn wordpiece_ckpt_key(&self) -> String {
         ckpt::digest_key(
             ckpt::SCHEMA_WORDPIECE,
-            &[&self.cfg.wp_vocab.to_string(), &ckpt::domain_fp(&self.cfg)],
+            &[&self.0.cfg.wp_vocab.to_string(), &ckpt::domain_fp(&self.0.cfg)],
         )
     }
 
     /// The word2vec trainer configuration for W2V-Chem.
     fn w2v_train_cfg(&self) -> word2vec::Word2VecConfig {
         word2vec::Word2VecConfig {
-            dim: self.cfg.embed_dim,
-            epochs: self.cfg.embed_epochs,
-            seed: self.cfg.seed,
+            dim: self.0.cfg.embed_dim,
+            epochs: self.0.cfg.embed_epochs,
+            seed: self.0.cfg.seed,
             ..word2vec::Word2VecConfig::default()
         }
     }
@@ -557,7 +611,7 @@ impl Shared {
     fn w2v_ckpt_key(&self) -> String {
         ckpt::digest_key(
             ckpt::SCHEMA_W2V,
-            &[&format!("{:?}", self.w2v_train_cfg()), &ckpt::domain_fp(&self.cfg)],
+            &[&format!("{:?}", self.w2v_train_cfg()), &ckpt::domain_fp(&self.0.cfg)],
         )
     }
 
@@ -569,7 +623,7 @@ impl Shared {
             &[
                 &format!("{:?}", self.glove_train_cfg()),
                 &self.glove_ckpt_key(),
-                &ckpt::domain_fp(&self.cfg),
+                &ckpt::domain_fp(&self.0.cfg),
             ],
         )
     }
@@ -577,10 +631,10 @@ impl Shared {
     /// The fastText trainer configuration for the BioWordVec stand-in.
     fn biowordvec_train_cfg(&self) -> fasttext::FastTextConfig {
         fasttext::FastTextConfig {
-            dim: self.cfg.embed_dim,
-            epochs: self.cfg.embed_epochs,
+            dim: self.0.cfg.embed_dim,
+            epochs: self.0.cfg.embed_epochs,
             buckets: 8_192,
-            seed: self.cfg.seed,
+            seed: self.0.cfg.seed,
             ..fasttext::FastTextConfig::default()
         }
     }
@@ -591,18 +645,18 @@ impl Shared {
             ckpt::SCHEMA_BIOWORDVEC,
             &[
                 &format!("{:?}", self.biowordvec_train_cfg()),
-                &ckpt::domain_fp(&self.cfg),
-                &ckpt::generic_fp(&self.cfg),
+                &ckpt::domain_fp(&self.0.cfg),
+                &ckpt::generic_fp(&self.0.cfg),
             ],
         )
     }
 
     /// W2V-Chem: word2vec trained from scratch on the domain corpus.
     pub fn w2v_chem(&self) -> &EmbeddingTable {
-        self.w2v_chem.get_or_init(|| {
+        self.0.w2v_chem.get_or_init(|| {
             let cfg = self.w2v_train_cfg();
             ckpt::cached_raw(
-                self.ckpt.as_deref(),
+                self.0.ckpt.as_deref(),
                 "embed-w2v-chem",
                 &self.w2v_ckpt_key(),
                 kcb_embed::store::from_raw,
@@ -618,10 +672,10 @@ impl Shared {
 
     /// Generic GloVe: trained on the generic corpus only.
     pub fn glove(&self) -> &EmbeddingTable {
-        self.glove.get_or_init(|| {
+        self.0.glove.get_or_init(|| {
             let cfg = self.glove_train_cfg();
             ckpt::cached_raw(
-                self.ckpt.as_deref(),
+                self.0.ckpt.as_deref(),
                 "embed-glove",
                 &self.glove_ckpt_key(),
                 kcb_embed::store::from_raw,
@@ -638,10 +692,10 @@ impl Shared {
     /// GloVe-Chem: generic GloVe further trained on the domain corpus with
     /// a joined vocabulary.
     pub fn glove_chem(&self) -> &EmbeddingTable {
-        self.glove_chem.get_or_init(|| {
+        self.0.glove_chem.get_or_init(|| {
             let cfg = self.glove_train_cfg();
             ckpt::cached_raw(
-                self.ckpt.as_deref(),
+                self.0.ckpt.as_deref(),
                 "embed-glove-chem",
                 &self.glove_chem_ckpt_key(),
                 kcb_embed::store::from_raw,
@@ -660,10 +714,10 @@ impl Shared {
     /// model is word table + n-gram buckets + composition parameters, not
     /// one flat matrix, so it exercises the legacy path by design.
     pub fn biowordvec(&self) -> &FastText {
-        self.biowordvec.get_or_init(|| {
+        self.0.biowordvec.get_or_init(|| {
             let cfg = self.biowordvec_train_cfg();
             ckpt::cached(
-                self.ckpt.as_deref(),
+                self.0.ckpt.as_deref(),
                 "embed-biowordvec",
                 &self.biowordvec_ckpt_key(),
                 kcb_embed::store::fasttext_from_bytes,
@@ -681,15 +735,19 @@ impl Shared {
     /// eagerly: true when a warm checkpoint file plausibly covers it, in
     /// which case the provider job can skip materialization and let the
     /// first consumer decode lazily (the getter still verifies in full).
-    /// Unknown names are never fresh.
+    /// The LM keys fold in the WordPiece vocabulary size, so probing them
+    /// materialises that (cheap, itself checkpointed) dependency. Unknown
+    /// names are never fresh.
     pub fn provider_fresh(&self, name: &str) -> bool {
-        let Some(store) = self.ckpt.as_deref() else { return false };
+        let Some(store) = self.0.ckpt.as_deref() else { return false };
         let key = match name {
             "embed-w2v-chem" => self.w2v_ckpt_key(),
             "embed-glove" => self.glove_ckpt_key(),
             "embed-glove-chem" => self.glove_chem_ckpt_key(),
             "embed-biowordvec" => self.biowordvec_ckpt_key(),
             "wordpiece" => self.wordpiece_ckpt_key(),
+            "lm-bert" => self.bert_ckpt_key().1,
+            "lm-biogpt" => self.biogpt_ckpt_key().1,
             _ => return false,
         };
         // glove-chem warm-starts from glove: its checkpoint replaces the
@@ -700,7 +758,7 @@ impl Shared {
     /// Counts one provider job that skipped eager materialization because
     /// its checkpoint was known-fresh (reported via `run_meta.json`).
     pub fn note_provider_skip(&self) {
-        self.provider_skips.fetch_add(1, Ordering::Relaxed);
+        self.0.provider_skips.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Content-addressed input key for a provider, by the unprefixed job
@@ -719,17 +777,17 @@ impl Shared {
             format!("{:016x}", kcb_util::fnv1a(parts.join("\x1f").as_bytes()))
         };
         let gen = |kind: &str| {
-            fp(&[kind, &self.cfg.scale.to_string(), &self.cfg.seed.to_string()])
+            fp(&[kind, &self.0.cfg.scale.to_string(), &self.0.cfg.seed.to_string()])
         };
         Some(match name {
             "ontology" => gen("ontology"),
-            "corpus-domain" => ckpt::domain_fp(&self.cfg),
-            "corpus-generic" => ckpt::generic_fp(&self.cfg),
+            "corpus-domain" => ckpt::domain_fp(&self.0.cfg),
+            "corpus-generic" => ckpt::generic_fp(&self.0.cfg),
             "task1" | "task2" | "task3" | "split1" | "split2" | "split3" => gen(name),
             "embed-random" => fp(&[
                 "embed-random",
-                &self.cfg.embed_dim.to_string(),
-                &self.cfg.seed.to_string(),
+                &self.0.cfg.embed_dim.to_string(),
+                &self.0.cfg.seed.to_string(),
             ]),
             "embed-glove" => self.glove_ckpt_key(),
             "embed-w2v-chem" => self.w2v_ckpt_key(),
@@ -738,19 +796,19 @@ impl Shared {
             "wordpiece" => self.wordpiece_ckpt_key(),
             "bert" | "lm-bert" => fp(&[
                 "lm-bert",
-                &format!("{:?}", self.cfg.bert_arch),
-                &format!("{:?}", self.cfg.bert_pretrain),
-                &self.cfg.bert_pretrain_cap.to_string(),
+                &format!("{:?}", self.0.cfg.bert_arch),
+                &format!("{:?}", self.0.cfg.bert_pretrain),
+                &self.0.cfg.bert_pretrain_cap.to_string(),
                 &self.wordpiece_ckpt_key(),
-                &ckpt::domain_fp(&self.cfg),
+                &ckpt::domain_fp(&self.0.cfg),
             ]),
             "biogpt" | "lm-biogpt" => fp(&[
                 "lm-biogpt",
-                &format!("{:?}", self.cfg.gpt_arch),
-                &format!("{:?}", self.cfg.gpt_pretrain),
-                &self.cfg.gpt_pretrain_cap.to_string(),
+                &format!("{:?}", self.0.cfg.gpt_arch),
+                &format!("{:?}", self.0.cfg.gpt_pretrain),
+                &self.0.cfg.gpt_pretrain_cap.to_string(),
                 &self.wordpiece_ckpt_key(),
-                &ckpt::domain_fp(&self.cfg),
+                &ckpt::domain_fp(&self.0.cfg),
             ]),
             _ => return None,
         })
@@ -771,9 +829,9 @@ impl Shared {
     /// The WordPiece vocabulary (trained on entity names, relation phrases
     /// and the domain corpus).
     pub fn wordpiece(&self) -> &WordPiece {
-        self.wordpiece.get_or_init(|| {
+        self.0.wordpiece.get_or_init(|| {
             ckpt::cached(
-                self.ckpt.as_deref(),
+                self.0.ckpt.as_deref(),
                 "wordpiece",
                 &self.wordpiece_ckpt_key(),
                 WordPiece::from_bytes,
@@ -799,7 +857,7 @@ impl Shared {
                     for w in ["true", "false", "classify", "classification", "triple", "know"] {
                         *counts.entry(w.to_string()).or_insert(0) += 500;
                     }
-                    WordPieceTrainer { target_vocab: self.cfg.wp_vocab, min_pair_count: 2 }
+                    WordPieceTrainer { target_vocab: self.0.cfg.wp_vocab, min_pair_count: 2 }
                         .train(&counts)
                 },
             )
@@ -816,59 +874,53 @@ impl Shared {
             .collect()
     }
 
-    /// A trained+evaluated random-forest run on a task's canonical split
-    /// for a *token-embedding* model (anything in [`EMBEDDING_NAMES`]),
-    /// cached by `(task, model, adaptation)`. Safe from any thread —
-    /// scheduler warm cells call this concurrently. The `"pubmedbert"`
-    /// model needs the driver-only BERT; use [`Lab::forest_run`] for it.
-    pub fn forest_run(
-        &self,
-        task: TaskKind,
-        model: &str,
-        adapt_kind: &str,
-    ) -> Arc<ForestRun> {
-        assert_ne!(
-            model, "pubmedbert",
-            "pubmedbert forests need the driver-only BERT; call Lab::forest_run"
-        );
+    /// A trained+evaluated random-forest run on a task's canonical split,
+    /// cached by `(task, model, adaptation)`. `model` is an embedding name
+    /// from [`EMBEDDING_NAMES`] or `"pubmedbert"` (frozen mini-BERT `[CLS]`
+    /// embeddings). Training rows are capped at `train_cap`.
+    pub fn forest_run(&self, task: TaskKind, model: &str, adapt_kind: &str) -> Arc<ForestRun> {
         let key = format!("{}|{model}|{adapt_kind}", task.number());
-        let s = slot(&self.forest_runs, &key);
+        let s = slot(&self.0.forest_runs, &key);
         if let Some(run) = s.get() {
-            self.forest_hits.fetch_add(1, Ordering::Relaxed);
+            self.0.forest_hits.fetch_add(1, Ordering::Relaxed);
             return run.clone();
         }
         s.get_or_init(|| {
-            self.forest_misses.fetch_add(1, Ordering::Relaxed);
+            self.0.forest_misses.fetch_add(1, Ordering::Relaxed);
             let split = self.split(task);
-            let train = &split.train[..split.train.len().min(self.cfg.train_cap)];
-            let adaptation = self.adaptation(adapt_kind, model);
-            let enc = crate::compose::TokenAvgEncoder::new(self.embedding(model), adaptation);
+            let train = &split.train[..split.train.len().min(self.0.cfg.train_cap)];
             Arc::new(crate::paradigm::ml::run_forest_cached(
                 self.ontology(),
                 train,
                 &split.test,
-                &enc,
-                &self.cfg.rf,
-                Some(&self.encodings),
+                self.encoder(model, adapt_kind).as_ref(),
+                &self.0.cfg.rf,
+                Some(&self.0.encodings),
             ))
         })
         .clone()
     }
 
-    /// Slot accessor used by [`Lab::forest_run`] for the BERT-backed model
-    /// so both paths share one cache (and its hit/miss counters).
-    fn forest_slot(&self, key: &str) -> Arc<OnceLock<Arc<ForestRun>>> {
-        slot(&self.forest_runs, key)
+    /// The component encoder of a supervised model: frozen mini-BERT
+    /// `[CLS]` embeddings for `"pubmedbert"` (adaptation ignored), else
+    /// adapted token averages over the named embedding.
+    pub(crate) fn encoder(&self, model: &str, adapt_kind: &str) -> Box<dyn ComponentEncoder + '_> {
+        if model == "pubmedbert" {
+            Box::new(BertClsEncoder::new(&self.bert().0, self.wordpiece()))
+        } else {
+            let adaptation = self.adaptation(adapt_kind, model);
+            Box::new(TokenAvgEncoder::new(self.embedding(model), adaptation))
+        }
     }
 
     /// A trained+evaluated LSTM run on Task 1's canonical split (Table A6),
     /// cached per embedding model. Uses the table's historical caps: train
     /// capped at `train_cap / 4`, test at 1,500 rows, naive adaptation.
     pub fn lstm_run(&self, model: &str) -> Arc<LstmRun> {
-        let s = slot(&self.lstm_runs, model);
+        let s = slot(&self.0.lstm_runs, model);
         s.get_or_init(|| {
             let split = self.split(TaskKind::RandomNegatives);
-            let cap = (self.cfg.train_cap / 4).max(200).min(split.train.len());
+            let cap = (self.0.cfg.train_cap / 4).max(200).min(split.train.len());
             let test_cap = split.test.len().min(1_500);
             let adaptation = self.adaptation("naive", model);
             Arc::new(run_lstm(
@@ -877,7 +929,7 @@ impl Shared {
                 &split.test[..test_cap],
                 self.embedding(model),
                 &adaptation,
-                &self.cfg.lstm,
+                &self.0.cfg.lstm,
             ))
         })
         .clone()
@@ -892,14 +944,14 @@ impl Shared {
             "none" => Adaptation::None,
             "naive" => Adaptation::Naive,
             "task-oriented" => {
-                let s = slot(&self.stopwords, model_name);
+                let s = slot(&self.0.stopwords, model_name);
                 let stop = s.get_or_init(|| {
                     let positives = positive_triples(self.ontology(), TaskKind::RandomNegatives);
                     task_oriented_stopwords(
                         self.ontology(),
                         &positives,
                         self.embedding(model_name),
-                        &self.cfg.task_oriented,
+                        &self.0.cfg.task_oriented,
                     )
                 });
                 Adaptation::TaskOriented(stop.clone())
@@ -907,78 +959,20 @@ impl Shared {
             other => panic!("unknown adaptation {other}"),
         }
     }
-}
-
-/// Lazily-built, cached experiment environment: an [`Arc`]-shared
-/// [`Shared`] core plus the two driver-thread-only language models.
-///
-/// Holding the core behind an `Arc` lets long-lived consumers (the
-/// `kcb-serve` snapshot, request worker threads) keep the providers alive
-/// independently of the `Lab` that built them — [`Lab::shared_arc`] hands
-/// out owned handles while [`Lab::shared`] and the `Deref` impl keep the
-/// borrow-based call sites unchanged.
-pub struct Lab {
-    shared: Arc<Shared>,
-    bert: OnceCell<(MiniBert, Vec<Matrix>)>,
-    biogpt: OnceCell<BioGptMini>,
-}
-
-impl std::ops::Deref for Lab {
-    type Target = Shared;
-
-    fn deref(&self) -> &Shared {
-        &self.shared
-    }
-}
-
-impl Lab {
-    /// Creates an environment (nothing is built yet).
-    pub fn new(cfg: LabConfig) -> Self {
-        Self::build(cfg, None)
-    }
-
-    /// Creates an environment backed by a persistent checkpoint store:
-    /// every provider loads from the store when a matching checkpoint
-    /// exists and trains (then saves) otherwise, and previously computed
-    /// derived results (memo scores/rows, forest and LSTM runs) are
-    /// replayed from the store's derived cache. Call
-    /// [`Shared::save_checkpoints`] after a run to persist the union.
-    pub fn with_checkpoints(cfg: LabConfig, store: Arc<CkptStore>) -> Self {
-        Self::build(cfg, Some(store))
-    }
-
-    fn build(cfg: LabConfig, store: Option<Arc<CkptStore>>) -> Self {
-        let shared = Arc::new(Shared::new(cfg, store));
-        shared.load_derived();
-        Self { shared, bert: OnceCell::new(), biogpt: OnceCell::new() }
-    }
-
-    /// The thread-safe core, for handing to scheduler worker threads.
-    pub fn shared(&self) -> &Shared {
-        &self.shared
-    }
-
-    /// An owned handle on the thread-safe core. Snapshots and serving
-    /// threads hold this so the providers outlive the `Lab` borrow.
-    pub fn shared_arc(&self) -> Arc<Shared> {
-        Arc::clone(&self.shared)
-    }
 
     /// Content key of the mini-BERT checkpoint. Forces the (cheap,
     /// checkpointed) WordPiece vocabulary: its size fixes the architecture.
     fn bert_ckpt_key(&self) -> (TransformerConfig, String) {
-        let arch = TransformerConfig {
-            vocab_size: self.wordpiece().vocab_size(),
-            ..self.shared.cfg.bert_arch
-        };
+        let cfg = &self.0.cfg;
+        let arch = TransformerConfig { vocab_size: self.wordpiece().vocab_size(), ..cfg.bert_arch };
         let key = ckpt::digest_key(
             ckpt::SCHEMA_BERT,
             &[
                 &format!("{arch:?}"),
-                &format!("{:?}", self.shared.cfg.bert_pretrain),
-                &self.shared.cfg.bert_pretrain_cap.to_string(),
-                &self.shared.wordpiece_ckpt_key(),
-                &ckpt::domain_fp(&self.shared.cfg),
+                &format!("{:?}", cfg.bert_pretrain),
+                &cfg.bert_pretrain_cap.to_string(),
+                &self.wordpiece_ckpt_key(),
+                &ckpt::domain_fp(cfg),
             ],
         );
         (arch, key)
@@ -986,79 +980,53 @@ impl Lab {
 
     /// Content key of the BioGPT-mini checkpoint.
     fn biogpt_ckpt_key(&self) -> (TransformerConfig, String) {
-        let arch = TransformerConfig {
-            vocab_size: self.wordpiece().vocab_size(),
-            ..self.shared.cfg.gpt_arch
-        };
+        let cfg = &self.0.cfg;
+        let arch = TransformerConfig { vocab_size: self.wordpiece().vocab_size(), ..cfg.gpt_arch };
         let key = ckpt::digest_key(
             ckpt::SCHEMA_BIOGPT,
             &[
                 &format!("{arch:?}"),
-                &format!("{:?}", self.shared.cfg.gpt_pretrain),
-                &self.shared.cfg.gpt_pretrain_cap.to_string(),
-                &self.shared.wordpiece_ckpt_key(),
-                &ckpt::domain_fp(&self.shared.cfg),
+                &format!("{:?}", cfg.gpt_pretrain),
+                &cfg.gpt_pretrain_cap.to_string(),
+                &self.wordpiece_ckpt_key(),
+                &ckpt::domain_fp(cfg),
             ],
         );
         (arch, key)
     }
 
-    /// Freshness probe covering the driver-thread LM providers as well as
-    /// everything [`Shared::provider_fresh`] knows. The LM keys need the
-    /// WordPiece vocabulary size, so probing them materialises that one
-    /// (cheap, itself checkpointed) dependency.
-    pub fn provider_fresh(&self, name: &str) -> bool {
-        if self.shared.checkpoint_store().is_none() {
-            return false;
-        }
-        match name {
-            "lm-bert" => {
-                let (_, key) = self.bert_ckpt_key();
-                self.shared.checkpoint_store().is_some_and(|s| s.is_fresh(name, &key))
-            }
-            "lm-biogpt" => {
-                let (_, key) = self.biogpt_ckpt_key();
-                self.shared.checkpoint_store().is_some_and(|s| s.is_fresh(name, &key))
-            }
-            other => self.shared.provider_fresh(other),
-        }
-    }
-
-    /// The MLM-pre-trained mini-BERT plus its pre-trained weight snapshot.
-    /// Fine-tuning runs mutate the model in place; call
-    /// [`kcb_lm::MiniBert::restore`] with the snapshot to reset it.
-    /// Driver-thread only (the model is `!Send`).
-    pub fn bert(&self) -> &(MiniBert, Vec<Matrix>) {
-        self.bert.get_or_init(|| {
+    /// The MLM-pre-trained mini-BERT plus its weights. The model is shared
+    /// read-only (the `[CLS]` encoders score with it); code that trains
+    /// calls [`BertWeights::instantiate`] for a private copy.
+    pub fn bert(&self) -> &(MiniBert, BertWeights) {
+        self.0.bert.get_or_init(|| {
             let (arch, key) = self.bert_ckpt_key();
-            let bert = MiniBert::new(MiniBertConfig { arch, mask_prob: 0.15 });
+            let cfg = MiniBertConfig { arch, mask_prob: 0.15 };
+            let bert = MiniBert::new(cfg);
             // Freshly initialised weights double as the shape reference a
             // cached snapshot must match to be usable.
             let expect = bert.snapshot();
             let snapshot = ckpt::cached_raw(
-                self.shared.ckpt.as_deref(),
+                self.0.ckpt.as_deref(),
                 "lm-bert",
                 &key,
                 |meta, raw| decode_snapshot_raw(meta, raw, &expect),
                 |b| decode_snapshot(b, &expect),
-                |w| {
-                    let (meta, parts) = kcb_lm::ckpt::weights_raw_parts(w);
-                    (meta, parts)
-                },
+                |w| kcb_lm::ckpt::weights_raw_parts(w),
                 || {
-                    let corpus = self.encode_corpus_for_lm(self.shared.cfg.bert_pretrain_cap);
-                    bert.pretrain_mlm(&corpus, &self.shared.cfg.bert_pretrain);
+                    let corpus = self.encode_corpus_for_lm(self.0.cfg.bert_pretrain_cap);
+                    bert.pretrain_mlm(&corpus, &self.0.cfg.bert_pretrain);
                     bert.snapshot()
                 },
             );
             // Both the trained and the loaded path land here, so cold and
             // warm labs hold byte-identical models.
             bert.restore(&snapshot);
-            (bert, snapshot)
+            (bert, BertWeights { cfg, weights: Arc::new(snapshot) })
         })
     }
 
-    /// The domain-pre-trained BioGPT-mini.
+    /// The domain-pre-trained BioGPT-mini, shared read-only.
     ///
     /// Besides the literature corpus, a slice of classification-transcript
     /// text is mixed into pre-training — the mini-scale analogue of real
@@ -1067,35 +1035,19 @@ impl Lab {
     /// with it, it answers at near-chance with the order bias the paper
     /// observed, which is exactly the behaviour Table 5 reports.
     pub fn biogpt(&self) -> &BioGptMini {
-        self.biogpt.get_or_init(|| {
-            let arch = TransformerConfig {
-                vocab_size: self.wordpiece().vocab_size(),
-                ..self.shared.cfg.gpt_arch
-            };
-            let key = ckpt::digest_key(
-                ckpt::SCHEMA_BIOGPT,
-                &[
-                    &format!("{arch:?}"),
-                    &format!("{:?}", self.shared.cfg.gpt_pretrain),
-                    &self.shared.cfg.gpt_pretrain_cap.to_string(),
-                    &self.shared.wordpiece_ckpt_key(),
-                    &ckpt::domain_fp(&self.shared.cfg),
-                ],
-            );
+        self.0.biogpt.get_or_init(|| {
+            let (arch, key) = self.biogpt_ckpt_key();
             let gpt = MiniGpt::new(MiniGptConfig { arch });
             let expect = gpt.snapshot();
             let snapshot = ckpt::cached_raw(
-                self.shared.ckpt.as_deref(),
+                self.0.ckpt.as_deref(),
                 "lm-biogpt",
                 &key,
                 |meta, raw| decode_snapshot_raw(meta, raw, &expect),
                 |b| decode_snapshot(b, &expect),
-                |w| {
-                    let (meta, parts) = kcb_lm::ckpt::weights_raw_parts(w);
-                    (meta, parts)
-                },
+                |w| kcb_lm::ckpt::weights_raw_parts(w),
                 || {
-                    let mut corpus = self.encode_corpus_for_lm(self.shared.cfg.gpt_pretrain_cap);
+                    let mut corpus = self.encode_corpus_for_lm(self.0.cfg.gpt_pretrain_cap);
                     let o = self.ontology();
                     let wp = self.wordpiece();
                     let tk = ChemTokenizer::new();
@@ -1103,17 +1055,17 @@ impl Lab {
                     // queries: positives are shared across tasks, so a
                     // task-2/3 test triple can sit in task-1's train split.
                     let mut test_keys: HashSet<(u32, u8, u32)> = HashSet::new();
-                    for task in crate::task::TaskKind::ALL {
+                    for task in TaskKind::ALL {
                         test_keys.extend(self.split(task).test.iter().map(|e| e.triple.key()));
                     }
                     let train: Vec<crate::task::LabeledTriple> = self
-                        .split(crate::task::TaskKind::RandomNegatives)
+                        .split(TaskKind::RandomNegatives)
                         .train
                         .iter()
                         .copied()
                         .filter(|e| !test_keys.contains(&e.triple.key()))
                         .collect();
-                    let mut rng = Rng::seed_stream(self.shared.cfg.seed, 0xb109);
+                    let mut rng = Rng::seed_stream(self.0.cfg.seed, 0xb109);
                     let n_transcripts = (corpus.len() * 2).max(400);
                     for _ in 0..n_transcripts {
                         // "triple <text> classification <verdict>" pairs —
@@ -1129,46 +1081,13 @@ impl Lab {
                         }
                         corpus.push(wp.encode_words(words.iter().map(String::as_str)));
                     }
-                    gpt.pretrain_clm(&corpus, &self.shared.cfg.gpt_pretrain);
+                    gpt.pretrain_clm(&corpus, &self.0.cfg.gpt_pretrain);
                     gpt.snapshot()
                 },
             );
             gpt.restore(&snapshot);
             BioGptMini::new(gpt, self.wordpiece().clone())
         })
-    }
-
-    /// A trained+evaluated random-forest run on a task's canonical split,
-    /// cached by `(task, model, adaptation)`. `model` is an embedding name
-    /// from [`EMBEDDING_NAMES`] or `"pubmedbert"` (frozen mini-BERT `[CLS]`
-    /// embeddings). Training rows are capped at `train_cap`.
-    pub fn forest_run(&self, task: TaskKind, model: &str, adapt_kind: &str) -> Arc<ForestRun> {
-        if model != "pubmedbert" {
-            return self.shared.forest_run(task, model, adapt_kind);
-        }
-        let key = format!("{}|{model}|{adapt_kind}", task.number());
-        let s = self.shared.forest_slot(&key);
-        if let Some(run) = s.get() {
-            self.shared.forest_hits.fetch_add(1, Ordering::Relaxed);
-            return run.clone();
-        }
-        s.get_or_init(|| {
-            self.shared.forest_misses.fetch_add(1, Ordering::Relaxed);
-            let split = self.split(task);
-            let train = &split.train[..split.train.len().min(self.shared.cfg.train_cap)];
-            let (bert, snapshot) = self.bert();
-            bert.restore(snapshot); // guarantee the pre-trained state
-            let enc = crate::compose::BertClsEncoder::new(bert, self.wordpiece());
-            Arc::new(crate::paradigm::ml::run_forest_cached(
-                self.ontology(),
-                train,
-                &split.test,
-                &enc,
-                &self.shared.cfg.rf,
-                Some(&self.shared.encodings),
-            ))
-        })
-        .clone()
     }
 }
 
@@ -1231,12 +1150,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_core_is_send_and_sync() {
-        fn assert_sync<T: Send + Sync>() {}
-        assert_sync::<Shared>();
-    }
-
-    #[test]
     fn adaptations_resolve() {
         let lab = Lab::new(LabConfig::tiny());
         assert!(matches!(lab.adaptation("none", "random"), Adaptation::None));
@@ -1266,12 +1179,11 @@ mod tests {
     #[test]
     fn memo_score_is_safe_under_concurrent_same_key_calls() {
         let lab = Lab::new(LabConfig::tiny());
-        let shared = lab.shared();
         let values: Vec<f64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     s.spawn(|| {
-                        shared.memo_score("concurrent".to_string(), || {
+                        lab.memo_score("concurrent".to_string(), || {
                             std::thread::sleep(std::time::Duration::from_millis(5));
                             1.5
                         })
@@ -1325,8 +1237,8 @@ mod tests {
         assert_eq!(wp_w.vocab_size(), wp_c.vocab_size());
         assert!((0..wp_w.vocab_size() as u32).all(|i| wp_w.piece(i) == wp_c.piece(i)));
         let (_, warm_snapshot) = warm.bert();
-        assert_eq!(warm_snapshot.len(), cold_snapshot.len());
-        for (a, b) in warm_snapshot.iter().zip(cold_snapshot) {
+        assert_eq!(warm_snapshot.weights().len(), cold_snapshot.weights().len());
+        for (a, b) in warm_snapshot.weights().iter().zip(cold_snapshot.weights()) {
             assert_eq!(a.as_slice(), b.as_slice(), "bert weights must replay bit-identically");
         }
         let stats = warm.cache_stats();
@@ -1410,7 +1322,7 @@ mod tests {
     fn bert_and_biogpt_pretrain_at_tiny_scale() {
         let lab = Lab::new(LabConfig::tiny());
         let (bert, snapshot) = lab.bert();
-        assert!(!snapshot.is_empty());
+        assert!(!snapshot.weights().is_empty());
         let p = bert.predict_proba(&[kcb_text::wordpiece::special::CLS, 10, 11]);
         assert!((0.0..=1.0).contains(&p));
         let gpt = lab.biogpt();

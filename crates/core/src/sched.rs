@@ -1,22 +1,17 @@
 //! Dependency-aware cell scheduler for the reproduction pipeline.
 //!
-//! [`Graph`] holds a DAG of jobs. A job is either **parallel** (`Send`
-//! closure, runnable on any worker thread — forest fits, scenario-sweep
-//! cells, embedding training) or **driver-only** (non-`Send` closure that
-//! must run on the thread that called [`Graph::run`] — anything touching
-//! the `Rc`-autograd MiniBERT/BioGPT checkpoints). Dependencies always
-//! point at earlier ids, so push order is a valid topological order and
-//! the single-worker path degenerates to plain sequential execution in
-//! exactly that order.
+//! [`Graph`] holds a DAG of `Send` jobs — provider builds, forest and
+//! fine-tuning cells, artifact assembly — any of which may run on any
+//! worker thread. Dependencies always point at earlier ids, so push order
+//! is a valid topological order and the single-worker path degenerates to
+//! plain sequential execution in exactly that order.
 //!
 //! With `workers > 1` the graph runs on scoped worker threads with
 //! per-worker LIFO deques, FIFO stealing, and a shared injector queue;
-//! the driver thread drains driver-only jobs and helps with parallel
-//! jobs while it waits. Parallel jobs executing on a multi-worker run
-//! hold a [`pool::CoreReservation`] and are pinned to
-//! [`pool::run_serial`], so nested LM/forest fan-out yields to
-//! cell-level parallelism (and driver-side LM kernels see the reserved
-//! cores subtracted from their own fan-out).
+//! the thread that called [`Graph::run`] is worker 0. Jobs executing on a
+//! multi-worker run hold a [`pool::CoreReservation`] and are pinned to
+//! [`pool::run_serial`], so nested LM/forest fan-out yields to cell-level
+//! parallelism.
 //!
 //! Determinism contract: jobs communicate only through write-once slots
 //! and memoised caches whose values are independent of scheduling, and
@@ -39,6 +34,10 @@ use std::sync::Condvar;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+/// The job kind every report carries. One kind since every job is `Send`;
+/// the field stays because `run_meta` and the journal record it.
+const KIND: &str = "par";
 
 /// Span category for a job label: providers/cells/artifacts get their own
 /// trace categories, anything else files under the scheduler itself.
@@ -67,11 +66,11 @@ pub struct JobDone<'r> {
     pub index: usize,
     /// The label given at push time.
     pub label: &'r str,
-    /// `"par"` or `"driver"`.
+    /// Always `"par"`.
     pub kind: &'static str,
     /// Wall-clock seconds inside the closure.
     pub seconds: f64,
-    /// Worker that executed the job (0 = the driver thread).
+    /// Worker that executed the job (0 = the calling thread).
     pub worker: usize,
 }
 
@@ -81,19 +80,10 @@ pub struct JobDone<'r> {
 /// jobs can observe the result.
 pub type DoneHook<'h> = dyn Fn(&JobDone<'_>) + Sync + 'h;
 
-type ParFn<'a> = Box<dyn FnOnce() + Send + 'a>;
-type DriverFn<'a> = Box<dyn FnOnce() + 'a>;
-
-enum Slot {
-    /// Index into the shared parallel-closure table.
-    Par(usize),
-    /// Index into the driver-local closure table.
-    Driver(usize),
-}
+type JobFn<'a> = Box<dyn FnOnce() + Send + 'a>;
 
 struct Node {
     label: String,
-    slot: Slot,
     deps: Vec<usize>,
 }
 
@@ -102,7 +92,7 @@ struct Node {
 pub struct JobReport {
     /// The label given at push time.
     pub label: String,
-    /// `"par"` or `"driver"`.
+    /// Always `"par"`.
     pub kind: &'static str,
     /// Wall-clock seconds spent inside the closure (`end - start`).
     pub seconds: f64,
@@ -110,7 +100,7 @@ pub struct JobReport {
     pub start: f64,
     /// Seconds from graph start when the closure returned.
     pub end: f64,
-    /// Worker that executed the job (0 = the driver thread).
+    /// Worker that executed the job (0 = the calling thread).
     pub worker: usize,
 }
 
@@ -123,7 +113,7 @@ struct Timing {
 }
 
 /// Records a job span into the executing thread's `kcb_obs` buffer.
-fn record_job_span(label: &str, kind: &'static str, epoch_us: u64, t: Timing) {
+fn record_job_span(label: &str, epoch_us: u64, t: Timing) {
     if !kcb_obs::enabled() {
         return;
     }
@@ -132,14 +122,14 @@ fn record_job_span(label: &str, kind: &'static str, epoch_us: u64, t: Timing) {
         label,
         epoch_us + (t.start * 1e6) as u64,
         ((t.end - t.start).max(0.0) * 1e6) as u64,
-        vec![("worker", t.worker.to_string()), ("kind", kind.to_string())],
+        vec![("worker", t.worker.to_string()), ("kind", KIND.to_string())],
     );
 }
 
 /// What one [`Graph::run`] did.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct RunReport {
-    /// Worker threads used (1 = sequential driver-only execution).
+    /// Worker threads used (1 = sequential execution on the calling thread).
     pub workers: usize,
     /// Per-job timings in push order.
     pub jobs: Vec<JobReport>,
@@ -153,8 +143,7 @@ pub struct RunReport {
 #[derive(Default)]
 pub struct Graph<'a> {
     nodes: Vec<Node>,
-    par_fns: Vec<Option<ParFn<'a>>>,
-    driver_fns: Vec<Option<DriverFn<'a>>>,
+    fns: Vec<Option<JobFn<'a>>>,
 }
 
 impl<'a> Graph<'a> {
@@ -179,37 +168,21 @@ impl<'a> Graph<'a> {
         &self.nodes[id.0].label
     }
 
-    fn push(&mut self, label: String, slot: Slot, deps: &[JobId]) -> JobId {
-        let id = self.nodes.len();
-        for d in deps {
-            assert!(d.0 < id, "dependency {} of job {id} not yet pushed", d.0);
-        }
-        self.nodes.push(Node { label, slot, deps: deps.iter().map(|d| d.0).collect() });
-        JobId(id)
-    }
-
-    /// Pushes a parallel job: may run on any worker thread once all
-    /// `deps` have finished.
-    pub fn add_par(
+    /// Pushes a job: it may run on any worker thread once all `deps` have
+    /// finished.
+    pub fn add(
         &mut self,
         label: impl Into<String>,
         deps: &[JobId],
         f: impl FnOnce() + Send + 'a,
     ) -> JobId {
-        self.par_fns.push(Some(Box::new(f)));
-        self.push(label.into(), Slot::Par(self.par_fns.len() - 1), deps)
-    }
-
-    /// Pushes a driver-only job: runs on the thread that calls
-    /// [`Graph::run`] (for `!Send` state such as the LM checkpoints).
-    pub fn add_driver(
-        &mut self,
-        label: impl Into<String>,
-        deps: &[JobId],
-        f: impl FnOnce() + 'a,
-    ) -> JobId {
-        self.driver_fns.push(Some(Box::new(f)));
-        self.push(label.into(), Slot::Driver(self.driver_fns.len() - 1), deps)
+        let id = self.nodes.len();
+        for d in deps {
+            assert!(d.0 < id, "dependency {} of job {id} not yet pushed", d.0);
+        }
+        self.nodes.push(Node { label: label.into(), deps: deps.iter().map(|d| d.0).collect() });
+        self.fns.push(Some(Box::new(f)));
+        JobId(id)
     }
 
     /// Executes the whole graph and returns the run report. Panics in
@@ -224,7 +197,7 @@ impl<'a> Graph<'a> {
         let started = Instant::now();
         let epoch_us = kcb_obs::now_us();
         let n = self.nodes.len();
-        let label_kinds = self.label_kinds();
+        let labels: Vec<String> = self.nodes.iter().map(|nd| nd.label.clone()).collect();
         let mut timing = vec![Timing::default(); n];
         let (steals, workers) = if workers <= 1 || n <= 1 {
             self.run_sequential(started, epoch_us, &mut timing, hook);
@@ -232,12 +205,12 @@ impl<'a> Graph<'a> {
         } else {
             (self.run_parallel(workers, started, epoch_us, &mut timing, hook), workers)
         };
-        let jobs = label_kinds
+        let jobs = labels
             .into_iter()
             .zip(timing)
-            .map(|((label, kind), t)| JobReport {
+            .map(|(label, t)| JobReport {
                 label,
-                kind,
+                kind: KIND,
                 seconds: (t.end - t.start).max(0.0),
                 start: t.start,
                 end: t.end,
@@ -254,26 +227,18 @@ impl<'a> Graph<'a> {
         timing: &mut [Timing],
         hook: Option<&DoneHook<'_>>,
     ) {
-        kcb_obs::set_thread_label("driver");
-        let Graph { nodes, mut par_fns, mut driver_fns } = self;
-        for (i, node) in nodes.into_iter().enumerate() {
+        kcb_obs::set_thread_label("worker-0");
+        for (i, (node, f)) in self.nodes.into_iter().zip(self.fns).enumerate() {
             let start = t0.elapsed().as_secs_f64();
-            let kind = match node.slot {
-                Slot::Par(_) => "par",
-                Slot::Driver(_) => "driver",
-            };
-            match node.slot {
-                Slot::Par(p) => (par_fns[p].take().expect("par job present"))(),
-                Slot::Driver(d) => (driver_fns[d].take().expect("driver job present"))(),
-            }
+            (f.expect("job present"))();
             let end = t0.elapsed().as_secs_f64();
             timing[i] = Timing { start, end, worker: 0 };
-            record_job_span(&node.label, kind, epoch_us, timing[i]);
+            record_job_span(&node.label, epoch_us, timing[i]);
             if let Some(h) = hook {
                 h(&JobDone {
                     index: i,
                     label: &node.label,
-                    kind,
+                    kind: KIND,
                     seconds: (end - start).max(0.0),
                     worker: 0,
                 });
@@ -289,7 +254,7 @@ impl<'a> Graph<'a> {
         timing: &mut [Timing],
         hook: Option<&DoneHook<'_>>,
     ) -> usize {
-        let Graph { nodes, par_fns, mut driver_fns } = self;
+        let Graph { nodes, fns } = self;
         let n = nodes.len();
 
         let pending: Vec<usize> = nodes.iter().map(|nd| nd.deps.len()).collect();
@@ -299,27 +264,13 @@ impl<'a> Graph<'a> {
                 dependents[d].push(i);
             }
         }
-        let mut state = State {
-            pending,
-            dependents,
-            injector: VecDeque::new(),
-            ready_driver: VecDeque::new(),
-            remaining: n,
-            panic: None,
-        };
-        // Seed the ready queues with dep-free jobs, in push order.
-        for (i, nd) in nodes.iter().enumerate() {
-            if state.pending[i] == 0 {
-                match nd.slot {
-                    Slot::Par(_) => state.injector.push_back(i),
-                    Slot::Driver(_) => state.ready_driver.push_back(i),
-                }
-            }
-        }
+        // Seed the injector with dep-free jobs, in push order.
+        let injector = (0..n).filter(|&i| pending[i] == 0).collect();
+        let state = State { pending, dependents, injector, remaining: n, panic: None };
 
         let shared = Shared {
             nodes,
-            par_fns: par_fns.into_iter().map(Mutex::new).collect(),
+            fns: fns.into_iter().map(Mutex::new).collect(),
             locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             timing: (0..n).map(|_| Mutex::new(Timing::default())).collect(),
             state: Mutex::new(state),
@@ -331,13 +282,12 @@ impl<'a> Graph<'a> {
         };
 
         std::thread::scope(|s| {
-            // Workers 1..workers steal and run parallel jobs; worker 0 is
-            // the driver (this thread), which also owns the driver jobs.
+            // The calling thread is worker 0.
             for w in 1..workers {
                 let shared = &shared;
                 s.spawn(move || shared.worker_loop(w));
             }
-            shared.driver_loop(&mut driver_fns);
+            shared.worker_loop(0);
         });
 
         for (dst, src) in timing.iter_mut().zip(&shared.timing) {
@@ -348,34 +298,20 @@ impl<'a> Graph<'a> {
         }
         shared.steals.load(Ordering::Relaxed)
     }
-
-    fn label_kinds(&self) -> Vec<(String, &'static str)> {
-        self.nodes
-            .iter()
-            .map(|nd| {
-                (nd.label.clone(), match nd.slot {
-                    Slot::Par(_) => "par",
-                    Slot::Driver(_) => "driver",
-                })
-            })
-            .collect()
-    }
 }
 
 struct State {
     pending: Vec<usize>,
     dependents: Vec<Vec<usize>>,
-    /// Global FIFO of ready parallel jobs not yet claimed by a local deque.
+    /// Global FIFO of ready jobs not yet claimed by a local deque.
     injector: VecDeque<usize>,
-    /// Ready driver-only jobs (popped only by the driver thread).
-    ready_driver: VecDeque<usize>,
     remaining: usize,
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
 struct Shared<'a> {
     nodes: Vec<Node>,
-    par_fns: Vec<Mutex<Option<ParFn<'a>>>>,
+    fns: Vec<Mutex<Option<JobFn<'a>>>>,
     locals: Vec<Mutex<VecDeque<usize>>>,
     timing: Vec<Mutex<Timing>>,
     state: Mutex<State>,
@@ -391,26 +327,22 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    /// Runs one parallel job on worker `w`: reserve a core and pin nested
-    /// kernels to serial so cell-level parallelism wins the machine.
-    fn run_par(&self, i: usize, w: usize) {
-        let p = match self.nodes[i].slot {
-            Slot::Par(p) => p,
-            Slot::Driver(_) => unreachable!("driver job in par path"),
-        };
-        let f = self.par_fns[p].lock().take().expect("par job claimed twice");
+    /// Runs job `i` on worker `w`: reserve a core and pin nested kernels
+    /// to serial so cell-level parallelism wins the machine.
+    fn run_job(&self, i: usize, w: usize) {
+        let f = self.fns[i].lock().take().expect("job claimed twice");
         let _core = pool::CoreReservation::claim();
         let start = self.t0.elapsed().as_secs_f64();
         let result = catch_unwind(AssertUnwindSafe(|| pool::run_serial(f)));
         let t = Timing { start, end: self.t0.elapsed().as_secs_f64(), worker: w };
         *self.timing[i].lock() = t;
-        record_job_span(&self.nodes[i].label, "par", self.epoch_us, t);
+        record_job_span(&self.nodes[i].label, self.epoch_us, t);
         if result.is_ok() {
             if let Some(h) = self.hook {
                 h(&JobDone {
                     index: i,
                     label: &self.nodes[i].label,
-                    kind: "par",
+                    kind: KIND,
                     seconds: (t.end - t.start).max(0.0),
                     worker: w,
                 });
@@ -420,8 +352,8 @@ impl Shared<'_> {
     }
 
     /// Marks job `i` done, promoting newly-ready jobs. The first
-    /// newly-ready parallel job goes to worker `w`'s own deque (LIFO
-    /// locality); the rest go to the injector.
+    /// newly-ready job goes to worker `w`'s own deque (LIFO locality); the
+    /// rest go to the injector.
     fn finish(&self, i: usize, w: usize, result: Result<(), Box<dyn std::any::Any + Send>>) {
         let mut st = self.state.lock();
         match result {
@@ -431,17 +363,13 @@ impl Shared<'_> {
                 for j in deps_of {
                     st.pending[j] -= 1;
                     if st.pending[j] == 0 {
-                        match self.nodes[j].slot {
-                            Slot::Par(_) if !kept_local => {
-                                kept_local = true;
-                                self.locals[w].lock().push_back(j);
-                                kcb_obs::counter("sched.local_pushes", 1);
-                            }
-                            Slot::Par(_) => {
-                                st.injector.push_back(j);
-                                kcb_obs::counter("sched.injector_pushes", 1);
-                            }
-                            Slot::Driver(_) => st.ready_driver.push_back(j),
+                        if kept_local {
+                            st.injector.push_back(j);
+                            kcb_obs::counter("sched.injector_pushes", 1);
+                        } else {
+                            kept_local = true;
+                            self.locals[w].lock().push_back(j);
+                            kcb_obs::counter("sched.local_pushes", 1);
                         }
                     }
                 }
@@ -457,9 +385,9 @@ impl Shared<'_> {
         self.cv.notify_all();
     }
 
-    /// Next parallel job for worker `w`: own deque (LIFO) → steal others
-    /// (FIFO, scanning `w+1, w+2, …` wrapping) → injector.
-    fn next_par(&self, w: usize) -> Option<usize> {
+    /// Next job for worker `w`: own deque (LIFO) → steal others (FIFO,
+    /// scanning `w+1, w+2, …` wrapping) → injector.
+    fn next_job(&self, w: usize) -> Option<usize> {
         if let Some(i) = self.locals[w].lock().pop_back() {
             return Some(i);
         }
@@ -478,8 +406,8 @@ impl Shared<'_> {
     fn worker_loop(&self, w: usize) {
         kcb_obs::set_thread_label(format!("worker-{w}"));
         loop {
-            if let Some(i) = self.next_par(w) {
-                self.run_par(i, w);
+            if let Some(i) = self.next_job(w) {
+                self.run_job(i, w);
                 continue;
             }
             let st = self.state.lock();
@@ -488,56 +416,6 @@ impl Shared<'_> {
             }
             // Timed wait: steals from peer deques are not signalled
             // through the state condvar, so retry periodically.
-            drop(self.cv.wait_timeout(st, Duration::from_millis(2)));
-        }
-    }
-
-    /// The calling thread: owns the driver-only closures, helps with
-    /// parallel jobs while waiting on dependencies.
-    fn driver_loop(&self, driver_fns: &mut [Option<DriverFn<'_>>]) {
-        const W: usize = 0;
-        kcb_obs::set_thread_label("driver");
-        loop {
-            let next_driver = {
-                let mut st = self.state.lock();
-                if st.remaining == 0 || st.panic.is_some() {
-                    return;
-                }
-                st.ready_driver.pop_front()
-            };
-            if let Some(i) = next_driver {
-                let d = match self.nodes[i].slot {
-                    Slot::Driver(d) => d,
-                    Slot::Par(_) => unreachable!("par job in driver queue"),
-                };
-                let f = driver_fns[d].take().expect("driver job claimed twice");
-                let start = self.t0.elapsed().as_secs_f64();
-                let result = catch_unwind(AssertUnwindSafe(f));
-                let t = Timing { start, end: self.t0.elapsed().as_secs_f64(), worker: W };
-                *self.timing[i].lock() = t;
-                record_job_span(&self.nodes[i].label, "driver", self.epoch_us, t);
-                if result.is_ok() {
-                    if let Some(h) = self.hook {
-                        h(&JobDone {
-                            index: i,
-                            label: &self.nodes[i].label,
-                            kind: "driver",
-                            seconds: (t.end - t.start).max(0.0),
-                            worker: W,
-                        });
-                    }
-                }
-                self.finish(i, W, result);
-                continue;
-            }
-            if let Some(i) = self.next_par(W) {
-                self.run_par(i, W);
-                continue;
-            }
-            let st = self.state.lock();
-            if st.remaining == 0 || st.panic.is_some() {
-                return;
-            }
             drop(self.cv.wait_timeout(st, Duration::from_millis(2)));
         }
     }
@@ -559,7 +437,7 @@ mod tests {
         let l = log();
         for name in ["a", "b", "c", "d"] {
             let l = l.clone();
-            g.add_par(name, &[], move || l.lock().unwrap().push(name));
+            g.add(name, &[], move || l.lock().unwrap().push(name));
         }
         let report = g.run(1);
         assert_eq!(*l.lock().unwrap(), vec!["a", "b", "c", "d"]);
@@ -578,10 +456,10 @@ mod tests {
                 let l = l.clone();
                 move || l.lock().unwrap().push(name)
             };
-            let a = g.add_par("a", &[], mk(&l, "a"));
-            let b = g.add_par("b", &[a], mk(&l, "b"));
-            let c = g.add_par("c", &[a], mk(&l, "c"));
-            let _d = g.add_driver("d", &[b, c], mk(&l, "d"));
+            let a = g.add("a", &[], mk(&l, "a"));
+            let b = g.add("b", &[a], mk(&l, "b"));
+            let c = g.add("c", &[a], mk(&l, "c"));
+            let _d = g.add("d", &[b, c], mk(&l, "d"));
             g.run(workers);
             let order = l.lock().unwrap().clone();
             assert_eq!(order.len(), 4, "workers={workers}");
@@ -589,25 +467,6 @@ mod tests {
             assert!(pos("a") < pos("b") && pos("a") < pos("c"));
             assert_eq!(pos("d"), 3);
         }
-    }
-
-    #[test]
-    fn driver_jobs_run_on_the_calling_thread() {
-        let caller = std::thread::current().id();
-        let seen = Arc::new(StdMutex::new(Vec::new()));
-        let mut g = Graph::new();
-        for _ in 0..4 {
-            let seen = seen.clone();
-            g.add_driver("d", &[], move || seen.lock().unwrap().push(std::thread::current().id()));
-        }
-        // Interleave parallel load so the driver actually waits.
-        for _ in 0..8 {
-            g.add_par("p", &[], || std::thread::sleep(Duration::from_millis(1)));
-        }
-        g.run(4);
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 4);
-        assert!(seen.iter().all(|&t| t == caller));
     }
 
     #[test]
@@ -621,14 +480,14 @@ mod tests {
             let mut g = Graph::new();
             let provider = {
                 let slot = slot.clone();
-                g.add_par("provider", &[], move || {
+                g.add("provider", &[], move || {
                     slot.set(21).unwrap();
                 })
             };
             for _ in 0..6 {
                 let slot = slot.clone();
                 let sum = sum.clone();
-                g.add_par("consumer", &[provider], move || {
+                g.add("consumer", &[provider], move || {
                     *sum.lock().unwrap() += slot.get().copied().unwrap();
                 });
             }
@@ -641,8 +500,8 @@ mod tests {
     fn panics_propagate_after_the_scope_unwinds() {
         for workers in [1, 3] {
             let mut g = Graph::new();
-            g.add_par("ok", &[], || {});
-            g.add_par("boom", &[], || panic!("cell failed"));
+            g.add("ok", &[], || {});
+            g.add("boom", &[], || panic!("cell failed"));
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| g.run(workers)))
                 .expect_err("panic should propagate");
             let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
@@ -653,14 +512,14 @@ mod tests {
     #[test]
     fn report_records_every_job_with_timing() {
         let mut g = Graph::new();
-        let a = g.add_par("sleepy", &[], || std::thread::sleep(Duration::from_millis(5)));
-        g.add_driver("after", &[a], || {});
+        let a = g.add("sleepy", &[], || std::thread::sleep(Duration::from_millis(5)));
+        g.add("after", &[a], || {});
         let report = g.run(2);
         assert_eq!(report.jobs.len(), 2);
         assert_eq!(report.jobs[0].label, "sleepy");
         assert_eq!(report.jobs[0].kind, "par");
         assert!(report.jobs[0].seconds >= 0.004, "{}", report.jobs[0].seconds);
-        assert_eq!(report.jobs[1].kind, "driver");
+        assert_eq!(report.jobs[1].kind, "par");
         assert!(report.wall_seconds >= report.jobs[0].seconds);
     }
 
@@ -668,20 +527,20 @@ mod tests {
     #[should_panic(expected = "not yet pushed")]
     fn forward_dependencies_are_rejected() {
         let mut g = Graph::new();
-        let a = g.add_par("a", &[], || {});
+        let a = g.add("a", &[], || {});
         let _ = a;
         // A JobId forged beyond the current length must be rejected.
         let bogus = JobId(5);
-        g.add_par("b", &[bogus], || {});
+        g.add("b", &[bogus], || {});
     }
 
     #[test]
     fn hook_sees_every_successful_job_exactly_once() {
         for workers in [1, 3] {
             let mut g = Graph::new();
-            let a = g.add_par("a", &[], || {});
-            let b = g.add_par("b", &[a], || {});
-            g.add_driver("c", &[b], || {});
+            let a = g.add("a", &[], || {});
+            let b = g.add("b", &[a], || {});
+            g.add("c", &[b], || {});
             let seen = StdMutex::new(Vec::new());
             let hook = |d: &JobDone<'_>| {
                 seen.lock().unwrap().push((d.index, d.label.to_string(), d.kind));
@@ -694,7 +553,7 @@ mod tests {
                 vec![
                     (0, "a".to_string(), "par"),
                     (1, "b".to_string(), "par"),
-                    (2, "c".to_string(), "driver"),
+                    (2, "c".to_string(), "par"),
                 ],
                 "workers={workers}"
             );
@@ -704,8 +563,8 @@ mod tests {
     #[test]
     fn hook_skips_panicked_jobs() {
         let mut g = Graph::new();
-        g.add_par("ok", &[], || {});
-        g.add_par("boom", &[], || panic!("nope"));
+        g.add("ok", &[], || {});
+        g.add("boom", &[], || panic!("nope"));
         let seen = StdMutex::new(Vec::new());
         let hook = |d: &JobDone<'_>| seen.lock().unwrap().push(d.label.to_string());
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| g.run_hooked(1, Some(&hook))));
@@ -718,7 +577,7 @@ mod tests {
         let mut g = Graph::new();
         for _ in 0..3 {
             let observed = observed.clone();
-            g.add_par("cell", &[], move || {
+            g.add("cell", &[], move || {
                 observed.lock().unwrap().push(pool::serial_mode());
             });
         }
@@ -728,7 +587,7 @@ mod tests {
         let observed = Arc::new(StdMutex::new(Vec::new()));
         let mut g = Graph::new();
         let obs = observed.clone();
-        g.add_par("cell", &[], move || obs.lock().unwrap().push(pool::serial_mode()));
+        g.add("cell", &[], move || obs.lock().unwrap().push(pool::serial_mode()));
         g.run(1);
         assert!(!observed.lock().unwrap()[0], "sequential runs keep full nested fan-out");
     }

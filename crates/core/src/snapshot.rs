@@ -6,8 +6,8 @@
 //! classification forest, WordPiece + mini-BERT weights), then seals the
 //! results into plain owned storage: averaged-concat component vectors for
 //! every entity and relation, WordPiece id sequences for every component,
-//! an `Arc<ForestRun>` handle, and a `Send`-able clone of the pre-trained
-//! BERT weight snapshot. After freezing, the hot query path touches only
+//! an `Arc<ForestRun>` handle, and a handle on the lab's pre-trained BERT
+//! weights. After freezing, the hot query path touches only
 //! immutable memory — `OnceLock::get` fast paths, slice indexing and the
 //! SIMD cosine kernels — so any number of threads can share one snapshot
 //! ([`Snapshot`] is `Send + Sync` by construction, asserted below).
@@ -20,12 +20,10 @@
 //! server returns exactly the bytes a single-threaded loop would.
 
 use crate::compose::{ComponentEncoder, TokenAvgEncoder};
-use crate::lab::{Lab, Shared};
+use crate::lab::Lab;
 use crate::paradigm::ml::ForestRun;
 use crate::task::TaskKind;
 use kcb_embed::{EmbeddingModel, EmbeddingTable, QuantizedEmbeddingTable};
-use kcb_lm::{MiniBert, MiniBertConfig};
-use kcb_ml::linalg::Matrix;
 use kcb_ontology::Relation;
 use kcb_text::wordpiece::special;
 use serde_json::Value;
@@ -60,33 +58,13 @@ impl Default for SnapshotSpec {
     }
 }
 
-/// Sealed mini-BERT state: config plus the pre-trained weight snapshot.
-/// The model itself is `!Send` (`Rc` autograd tape), so worker threads
-/// rebuild a thread-local [`MiniBert`] from these weights instead.
-pub struct BertWeights {
-    cfg: MiniBertConfig,
-    weights: Arc<Vec<Matrix>>,
-}
-
-impl BertWeights {
-    /// Builds a thread-local model holding exactly the sealed weights.
-    /// The result scores sequences byte-identically to the driver-thread
-    /// model the weights were cloned from.
-    pub fn instantiate(&self) -> MiniBert {
-        let bert = MiniBert::new(self.cfg);
-        bert.restore(&self.weights);
-        bert
-    }
-
-    /// The sealed weight matrices.
-    pub fn weights(&self) -> &[Matrix] {
-        &self.weights
-    }
-}
+/// Sealed mini-BERT weights. Each serving thread instantiates its own
+/// model from them ([`BertWeights::instantiate`]).
+pub use crate::lab::BertWeights;
 
 /// An immutable, `Arc`-shareable serving snapshot of a warm lab.
 pub struct Snapshot {
-    shared: Arc<Shared>,
+    lab: Lab,
     spec: SnapshotSpec,
     quant: QuantizedEmbeddingTable,
     forest: Arc<ForestRun>,
@@ -112,22 +90,21 @@ const _: () = {
 };
 
 impl Snapshot {
-    /// Materialises everything `spec` names and freezes it. Driver-thread
-    /// only (the BERT provider is `!Send`); the returned snapshot is
-    /// `Send + Sync`.
+    /// Materialises everything `spec` names and freezes it. The snapshot
+    /// keeps a handle on `lab`, so the providers outlive the caller's lab.
     pub fn freeze(lab: &Lab, spec: SnapshotSpec) -> Self {
         let _span = kcb_obs::span("serve", "snapshot.freeze");
-        let shared = lab.shared_arc();
-        let o = shared.ontology();
-        let table = shared.glove_chem();
+        let lab = lab.clone();
+        let o = lab.ontology();
+        let table = lab.glove_chem();
         let quant = QuantizedEmbeddingTable::quantize(table);
-        let forest = shared.forest_run(spec.task, &spec.model, &spec.adapt);
+        let forest = lab.forest_run(spec.task, &spec.model, &spec.adapt);
 
         // Pre-encode every component through the serial encoder so the
         // frozen vectors are bit-equal to what `compose::triple_vector`
         // produces on demand.
-        let model = shared.embedding(&spec.model);
-        let adaptation = shared.adaptation(&spec.adapt, &spec.model);
+        let model = lab.embedding(&spec.model);
+        let adaptation = lab.adaptation(&spec.adapt, &spec.model);
         let enc = TokenAvgEncoder::new(model, adaptation);
         let dim = enc.dim();
         let n_ent = o.entities().len();
@@ -141,7 +118,7 @@ impl Snapshot {
         }
 
         let (ent_ids, rel_ids, bert) = if spec.bert {
-            let wp = shared.wordpiece();
+            let wp = lab.wordpiece();
             let tk = kcb_text::ChemTokenizer::new();
             let encode = |text: &str| -> Vec<u32> {
                 let words = tk.tokenize(text);
@@ -151,18 +128,13 @@ impl Snapshot {
                 .map(|i| encode(o.name(kcb_ontology::EntityId(i as u32))))
                 .collect();
             let rel_ids = Relation::ALL.iter().map(|r| encode(r.phrase())).collect();
-            let (bert_model, weights) = lab.bert();
-            let bert = BertWeights {
-                cfg: *bert_model.config(),
-                weights: Arc::new(weights.clone()),
-            };
-            (ent_ids, rel_ids, Some(bert))
+            (ent_ids, rel_ids, Some(lab.bert().1.clone()))
         } else {
             (Vec::new(), Vec::new(), None)
         };
 
         Self {
-            shared,
+            lab,
             spec,
             quant,
             forest,
@@ -182,9 +154,9 @@ impl Snapshot {
         self.artifacts.insert(id.into(), payload);
     }
 
-    /// The shared core the snapshot was frozen from.
-    pub fn shared(&self) -> &Shared {
-        &self.shared
+    /// The lab the snapshot was frozen from.
+    pub fn lab(&self) -> &Lab {
+        &self.lab
     }
 
     /// The freeze specification.
@@ -194,7 +166,7 @@ impl Snapshot {
 
     /// The sealed f32 nearest-neighbour table (the chem GloVe table).
     pub fn table(&self) -> &EmbeddingTable {
-        self.shared.glove_chem()
+        self.lab.glove_chem()
     }
 
     /// The sealed int8 twin of [`Snapshot::table`].
@@ -378,17 +350,16 @@ mod tests {
     #[test]
     fn frozen_vectors_match_the_serial_encoder() {
         let (lab, snap) = snapshot();
-        let shared = lab.shared();
-        let o = shared.ontology();
-        let enc = TokenAvgEncoder::new(shared.embedding("glove-chem"), Adaptation::Naive);
-        let split = shared.split(TaskKind::RandomNegatives);
+        let o = lab.ontology();
+        let enc = TokenAvgEncoder::new(lab.embedding("glove-chem"), Adaptation::Naive);
+        let split = lab.split(TaskKind::RandomNegatives);
         let mut out = vec![0.0f32; 3 * snap.dim()];
         for e in split.test.iter().take(16) {
             let t = e.triple;
             let want = compose::triple_vector(o, t, &enc);
             assert!(snap.triple_vector_into(t.subject.0, t.relation.code(), t.object.0, &mut out));
             assert_eq!(out, want, "frozen vector differs for {}", o.render(t));
-            let want_ids = compose::triple_token_ids(o, t, shared.wordpiece());
+            let want_ids = compose::triple_token_ids(o, t, lab.wordpiece());
             let got_ids = snap.bert_token_ids(t.subject.0, t.relation.code(), t.object.0).unwrap();
             assert_eq!(got_ids, want_ids);
         }
@@ -397,11 +368,10 @@ mod tests {
     #[test]
     fn classify_matches_the_serial_forest_path() {
         let (lab, snap) = snapshot();
-        let shared = lab.shared();
-        let o = shared.ontology();
-        let enc = TokenAvgEncoder::new(shared.embedding("glove-chem"), Adaptation::Naive);
-        let forest = shared.forest_run(TaskKind::RandomNegatives, "glove-chem", "naive");
-        let split = shared.split(TaskKind::RandomNegatives);
+        let o = lab.ontology();
+        let enc = TokenAvgEncoder::new(lab.embedding("glove-chem"), Adaptation::Naive);
+        let forest = lab.forest_run(TaskKind::RandomNegatives, "glove-chem", "naive");
+        let split = lab.split(TaskKind::RandomNegatives);
         let triples: Vec<(u32, u8, u32)> = split
             .test
             .iter()
@@ -441,9 +411,9 @@ mod tests {
         let (lab, snap) = snapshot();
         let handle = snap.bert().expect("spec sealed bert");
         let local = handle.instantiate();
-        let (driver, _) = lab.bert();
+        let (shared, _) = lab.bert();
         let ids = snap.bert_token_ids(0, 0, 1).unwrap();
-        assert_eq!(local.predict_proba(&ids), driver.predict_proba(&ids));
+        assert_eq!(local.predict_proba(&ids), shared.predict_proba(&ids));
     }
 
     #[test]

@@ -7,21 +7,21 @@ use kcb_core::sched::{Graph, RunReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// A diamond of parallel jobs with measurable sleeps plus a driver sink.
+/// A diamond of jobs with measurable sleeps plus one sink.
 fn diamond(counter: &AtomicUsize) -> Graph<'_> {
     let mut g = Graph::new();
-    let root = g.add_par("provider:root", &[], move || {
+    let root = g.add("provider:root", &[], move || {
         std::thread::sleep(Duration::from_millis(5));
         counter.fetch_add(1, Ordering::Relaxed);
     });
     let mut mids = Vec::new();
     for i in 0..6 {
-        mids.push(g.add_par(format!("cell:mid|{i}"), &[root], move || {
+        mids.push(g.add(format!("cell:mid|{i}"), &[root], move || {
             std::thread::sleep(Duration::from_millis(5));
             counter.fetch_add(1, Ordering::Relaxed);
         }));
     }
-    g.add_driver("artifact:sink", &mids, move || {
+    g.add("artifact:sink", &mids, move || {
         std::thread::sleep(Duration::from_millis(2));
         counter.fetch_add(1, Ordering::Relaxed);
     });
@@ -91,14 +91,13 @@ fn parallel_run_reports_every_job_within_capacity() {
     assert_eq!(r.workers, 4);
     check_common(&r, jobs);
     // Dependencies are honoured in the report: the root finishes before
-    // any dependent starts, and the driver sink runs last on worker 0.
+    // any dependent starts, and the sink runs last.
     let root_end = r.jobs[0].end;
     for j in &r.jobs[1..] {
         assert!(j.start >= root_end - 1e-9, "{} overlapped its dependency", j.label);
     }
     let sink = r.jobs.last().expect("sink job");
-    assert_eq!(sink.kind, "driver");
-    assert_eq!(sink.worker, 0, "driver jobs run on the driver thread");
+    assert!(r.jobs.iter().all(|j| j.kind == "par"), "every job has the one kind");
     assert!(r.jobs[..jobs - 1].iter().all(|j| sink.start >= j.end - 1e-9));
 }
 
@@ -110,7 +109,7 @@ fn empty_and_single_job_graphs_degrade_to_sequential() {
     assert!(r.jobs.is_empty());
 
     let mut g = Graph::new();
-    g.add_par("cell:only", &[], || {});
+    g.add("cell:only", &[], || {});
     let r = g.run(8);
     assert_eq!(r.workers, 1);
     assert_eq!(r.jobs.len(), 1);

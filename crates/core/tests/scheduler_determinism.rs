@@ -12,10 +12,11 @@ use kcb_core::experiment::plan::run_scheduled;
 use kcb_core::lab::{Lab, LabConfig};
 
 /// Ids chosen to cover every job flavour: dataset statistics
-/// (provider-only), the Task-1 forest grid (parallel + PubmedBERT driver
-/// cells), the LSTM row (parallel cells), and the scenario sweep
-/// (parallel forest cells, driver fine-tuning cells, GPT-4 reference).
-const IDS: [&str; 4] = ["table2", "table3a", "tablea6", "fig3"];
+/// (provider-only), the Task-1 forest grid (token and PubmedBERT forest
+/// cells), the LSTM row, the scenario sweep (forest, fine-tuning and
+/// GPT-4 cells), and the two language-model tables assembled on workers
+/// (BERT fine-tuning, BioGPT prompting).
+const IDS: [&str; 6] = ["table2", "table3a", "tablea6", "fig3", "table4", "table5"];
 
 #[test]
 fn artifacts_are_byte_identical_across_worker_counts() {

@@ -71,6 +71,12 @@ impl PromptedModel for BioGptMini {
     }
 }
 
+// One pre-trained model answers prompts from any scheduler worker.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<BioGptMini>();
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,3 +26,11 @@ pub use kcb_util::pool;
 pub use decoder::{MiniGpt, MiniGptConfig};
 pub use encoder::{MiniBert, MiniBertConfig};
 pub use transformer::{TrainConfig, TransformerConfig};
+
+// Models cross threads: the cell scheduler trains and queries them on any
+// worker, and serving threads share them.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<MiniBert>();
+    assert_send_sync::<MiniGpt>();
+};

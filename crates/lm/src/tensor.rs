@@ -12,43 +12,52 @@
 //! beats blocking tricks here; the hot kernels still run over flat slices.
 
 use kcb_ml::linalg::Matrix;
-use std::cell::{Ref, RefCell};
-use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Backward closure: distributes a node's gradient into its parents.
-type BackwardFn = Box<dyn Fn(&Inner)>;
+type BackwardFn = Box<dyn Fn(&Inner) + Send + Sync>;
 
-/// Node payload.
+/// Node payload. The locks make models `Send + Sync` and never block in
+/// practice: one thread drives a graph at a time, and threads sharing a
+/// pre-trained model only read its parameters. `RwLock`, not `Mutex`:
+/// several `data()` borrows of one tensor may be live at once (e.g.
+/// `x.matmul(&x)`), which a `Mutex` would deadlock on.
 struct Inner {
     id: usize,
-    data: RefCell<Matrix>,
-    grad: RefCell<Matrix>,
+    data: RwLock<Matrix>,
+    grad: RwLock<Matrix>,
     parents: Vec<Tensor>,
     /// Distributes `self.grad` into the parents' grads.
     backward: Option<BackwardFn>,
 }
 
-thread_local! {
-    static NEXT_ID: RefCell<usize> = const { RefCell::new(0) };
-}
+/// Process-wide node ids. One counter for every thread: a model built on
+/// one thread and trained on another must never reuse an id, or
+/// [`Tensor::backward`]'s visited set would skip parents.
+static NEXT_ID: AtomicUsize = AtomicUsize::new(1);
 
 fn next_id() -> usize {
-    NEXT_ID.with(|c| {
-        let mut c = c.borrow_mut();
-        *c += 1;
-        *c
-    })
+    NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A reference-counted autograd tensor.
+fn read(lock: &RwLock<Matrix>) -> RwLockReadGuard<'_, Matrix> {
+    lock.read().expect("tensor lock poisoned by a panic mid-update")
+}
+
+fn write(lock: &RwLock<Matrix>) -> RwLockWriteGuard<'_, Matrix> {
+    lock.write().expect("tensor lock poisoned by a panic mid-update")
+}
+
+/// A reference-counted autograd tensor (`Send + Sync`).
 #[derive(Clone)]
 pub struct Tensor {
-    inner: Rc<Inner>,
+    inner: Arc<Inner>,
 }
 
 impl std::fmt::Debug for Tensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let d = self.inner.data.borrow();
+        let d = read(&self.inner.data);
         write!(f, "Tensor(id={}, {}x{})", self.inner.id, d.rows(), d.cols())
     }
 }
@@ -58,10 +67,10 @@ impl Tensor {
     pub fn leaf(data: Matrix) -> Self {
         let grad = Matrix::zeros(data.rows(), data.cols());
         Self {
-            inner: Rc::new(Inner {
+            inner: Arc::new(Inner {
                 id: next_id(),
-                data: RefCell::new(data),
-                grad: RefCell::new(grad),
+                data: RwLock::new(data),
+                grad: RwLock::new(grad),
                 parents: Vec::new(),
                 backward: None,
             }),
@@ -71,10 +80,10 @@ impl Tensor {
     fn from_op(data: Matrix, parents: Vec<Tensor>, backward: BackwardFn) -> Self {
         let grad = Matrix::zeros(data.rows(), data.cols());
         Self {
-            inner: Rc::new(Inner {
+            inner: Arc::new(Inner {
                 id: next_id(),
-                data: RefCell::new(data),
-                grad: RefCell::new(grad),
+                data: RwLock::new(data),
+                grad: RwLock::new(grad),
                 parents,
                 backward: Some(backward),
             }),
@@ -82,41 +91,41 @@ impl Tensor {
     }
 
     /// Borrows the value.
-    pub fn data(&self) -> Ref<'_, Matrix> {
-        self.inner.data.borrow()
+    pub fn data(&self) -> RwLockReadGuard<'_, Matrix> {
+        read(&self.inner.data)
     }
 
     /// Borrows the gradient.
-    pub fn grad(&self) -> Ref<'_, Matrix> {
-        self.inner.grad.borrow()
+    pub fn grad(&self) -> RwLockReadGuard<'_, Matrix> {
+        read(&self.inner.grad)
     }
 
     /// Overwrites the value in place (used by the optimiser and to reuse
     /// parameter tensors across steps).
     pub fn set_data(&self, data: Matrix) {
-        *self.inner.data.borrow_mut() = data;
+        *write(&self.inner.data) = data;
     }
 
     /// Applies `f` to the value matrix in place.
     pub fn update_data(&self, f: impl FnOnce(&mut Matrix)) {
-        f(&mut self.inner.data.borrow_mut());
+        f(&mut write(&self.inner.data));
     }
 
     /// Zeroes the gradient.
     pub fn zero_grad(&self) {
-        let mut g = self.inner.grad.borrow_mut();
+        let mut g = write(&self.inner.grad);
         let (r, c) = (g.rows(), g.cols());
         *g = Matrix::zeros(r, c);
     }
 
     /// Shape `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
-        let d = self.inner.data.borrow();
+        let d = read(&self.inner.data);
         (d.rows(), d.cols())
     }
 
     fn accum_grad(&self, delta: &Matrix) {
-        let mut g = self.inner.grad.borrow_mut();
+        let mut g = write(&self.inner.grad);
         debug_assert_eq!((g.rows(), g.cols()), (delta.rows(), delta.cols()));
         for r in 0..g.rows() {
             kcb_ml::linalg::axpy(1.0, delta.row(r), g.row_mut(r));
@@ -128,7 +137,7 @@ impl Tensor {
     /// full table-shaped zero matrix per step (the embedding table is by
     /// far the largest parameter).
     fn accum_grad_row(&self, row: usize, delta: &[f32]) {
-        let mut g = self.inner.grad.borrow_mut();
+        let mut g = write(&self.inner.grad);
         kcb_ml::linalg::axpy(1.0, delta, g.row_mut(row));
     }
 
@@ -136,7 +145,7 @@ impl Tensor {
     /// used by the multi-head attention backward, where each head owns a
     /// column slice of the fused Q/K/V projections.
     fn accum_grad_block(&self, first_row: usize, first_col: usize, delta: &Matrix) {
-        let mut g = self.inner.grad.borrow_mut();
+        let mut g = write(&self.inner.grad);
         let w = delta.cols();
         for r in 0..delta.rows() {
             let gr = &mut g.row_mut(first_row + r)[first_col..first_col + w];
@@ -149,7 +158,7 @@ impl Tensor {
     pub fn backward(&self) {
         // Seed.
         {
-            let mut g = self.inner.grad.borrow_mut();
+            let mut g = write(&self.inner.grad);
             let (r, c) = (g.rows(), g.cols());
             let seed = Matrix::from_vec(vec![1.0; r * c], r, c);
             *g = seed;
@@ -191,7 +200,7 @@ impl Tensor {
             out,
             vec![a.clone(), b.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow();
+                let g = read(&me.grad);
                 a.accum_grad(&matmul_nt(&g, &b.data()));
                 b.accum_grad(&matmul_tn(&a.data(), &g));
             }),
@@ -207,7 +216,7 @@ impl Tensor {
             out,
             vec![a.clone(), b.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow();
+                let g = read(&me.grad);
                 a.accum_grad(&matmul_nn(&g, &b.data()));
                 b.accum_grad(&matmul_tn(&g, &a.data()));
             }),
@@ -230,7 +239,7 @@ impl Tensor {
             out,
             vec![a.clone(), b.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow();
+                let g = read(&me.grad);
                 a.accum_grad(&g);
                 b.accum_grad(&g);
             }),
@@ -255,7 +264,7 @@ impl Tensor {
             out,
             vec![a.clone(), b.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow();
+                let g = read(&me.grad);
                 a.accum_grad(&g);
                 // Column-sum into the bias grad.
                 let mut db = Matrix::zeros(1, g.cols());
@@ -277,7 +286,7 @@ impl Tensor {
             out,
             vec![a.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow();
+                let g = read(&me.grad);
                 let scaled =
                     Matrix::from_vec(g.as_slice().iter().map(|v| v * k).collect(), g.rows(), g.cols());
                 a.accum_grad(&scaled);
@@ -310,7 +319,7 @@ impl Tensor {
             out,
             vec![a.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow();
+                let g = read(&me.grad);
                 let x = a.data();
                 let mut d = Matrix::zeros(g.rows(), g.cols());
                 for (i, (gv, xv)) in g.as_slice().iter().zip(x.as_slice()).enumerate() {
@@ -354,7 +363,7 @@ impl Tensor {
             out,
             vec![a.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow();
+                let g = read(&me.grad);
                 let mut d = Matrix::zeros(g.rows(), g.cols());
                 for r in 0..g.rows() {
                     let yr = y.row(r);
@@ -403,7 +412,7 @@ impl Tensor {
             out,
             vec![a.clone(), gm.clone(), bt.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow();
+                let g = read(&me.grad);
                 let gamma_d = gm.data();
                 let n = g.cols() as f32;
                 let mut dx = Matrix::zeros(g.rows(), g.cols());
@@ -453,7 +462,7 @@ impl Tensor {
             out,
             vec![a.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow();
+                let g = read(&me.grad);
                 // Sparse scatter: only the gathered rows receive gradient.
                 for (i, &id) in ids_owned.iter().enumerate() {
                     a.accum_grad_row(id as usize, g.row(i));
@@ -476,7 +485,7 @@ impl Tensor {
             out,
             vec![a.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow();
+                let g = read(&me.grad);
                 let (ar, ac) = a.shape();
                 let mut da = Matrix::zeros(ar, ac);
                 for (i, &r) in rows_owned.iter().enumerate() {
@@ -526,7 +535,7 @@ impl Tensor {
             loss,
             vec![a.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow().get(0, 0);
+                let g = read(&me.grad).get(0, 0);
                 let mut d = probs.clone();
                 let inv = g / count as f32;
                 for r in 0..d.rows() {
@@ -661,7 +670,7 @@ impl Tensor {
             out,
             vec![q.clone(), k.clone(), v.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow();
+                let g = read(&me.grad);
                 let q_d = q.data();
                 let k_d = k.data();
                 let v_d = v.data();
@@ -788,7 +797,7 @@ impl Tensor {
             loss,
             vec![a.clone()],
             Box::new(move |me| {
-                let g = me.grad.borrow().get(0, 0);
+                let g = read(&me.grad).get(0, 0);
                 let mut d = probs.clone();
                 for r in 0..d.rows() {
                     d.row_mut(r)[targets_owned[r] as usize] -= 1.0;
@@ -1300,6 +1309,49 @@ mod tests {
             for c in 0..2 {
                 assert!((g2.get(r, c) - 2.0 * g1.get(r, c)).abs() < 1e-5);
             }
+        }
+    }
+
+    fn step_params() -> Vec<Tensor> {
+        vec![
+            Tensor::leaf(mat(3, 5, 41)),
+            Tensor::leaf(mat(1, 5, 42)),
+            Tensor::leaf(Matrix::from_vec(vec![1.0; 5], 1, 5)),
+            Tensor::leaf(Matrix::zeros(1, 5)),
+            Tensor::leaf(mat(5, 2, 43)),
+        ]
+    }
+
+    /// One forward + backward through matmul, bias, GELU, LayerNorm and
+    /// cross-entropy; returns every parameter's gradient.
+    fn step_grads(params: &[Tensor]) -> Vec<Matrix> {
+        let x = Tensor::leaf(mat(4, 3, 40));
+        let h = x.matmul(&params[0]).add_row(&params[1]).gelu();
+        let h = h.layer_norm(&params[2], &params[3]);
+        h.matmul(&params[4]).cross_entropy(&[0, 1, 1, 0]).backward();
+        params.iter().map(|p| p.grad().clone()).collect()
+    }
+
+    #[test]
+    fn parameters_built_on_one_thread_train_bit_identically_on_another() {
+        let reference = step_grads(&step_params());
+        let params = step_params();
+        let grads = std::thread::scope(|s| {
+            s.spawn(|| {
+                // Unrelated tensors first: with per-thread id counters these
+                // would reuse the parameters' ids and `backward` would skip
+                // parents it had "already visited".
+                let _unrelated: Vec<Tensor> =
+                    (0..64).map(|i| Tensor::leaf(mat(1, 1, i))).collect();
+                step_grads(&params)
+            })
+            .join()
+            .expect("worker thread")
+        });
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(grads.len(), reference.len());
+        for (a, b) in reference.iter().zip(&grads) {
+            assert_eq!(bits(a), bits(b));
         }
     }
 }

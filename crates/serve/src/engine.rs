@@ -12,9 +12,10 @@
 //!   serves the whole group (grouped further by `(int8, k)`);
 //! - `classify` → [`Snapshot::classify_batch`] — one scratch vector, no
 //!   per-request allocation;
-//! - `bert` → a *thread-local* [`MiniBert`] (rebuilt per worker from the
-//!   sealed weights, since the model itself is `!Send`) scoring the whole
-//!   group through `predict_proba_batch`'s packed-minibatch kernels.
+//! - `bert` → a per-worker [`MiniBert`] (instantiated once per worker from
+//!   the sealed weights, so workers never contend on one model's tensor
+//!   locks and reference counts) scoring the whole group through
+//!   `predict_proba_batch`'s packed-minibatch kernels.
 //!
 //! Every kind is byte-identical to its serial reference path (snapshot
 //! contract), so batching and multi-threading never change reply bytes —
@@ -245,8 +246,8 @@ impl Engine {
 }
 
 fn worker_loop(inner: &Inner) {
-    // The sealed weights rebuild a thread-local model once per worker;
-    // scoring through it is byte-identical to the driver-thread model.
+    // The sealed weights build this worker's own model once; scoring
+    // through it is byte-identical to the lab's pre-trained model.
     let bert = inner.snap.bert().map(kcb_core::snapshot::BertWeights::instantiate);
     let m = &inner.metrics;
     loop {

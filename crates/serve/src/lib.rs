@@ -1,9 +1,9 @@
 //! `kcb-serve` — the snapshot serving engine.
 //!
 //! A daemon front-end for a warm lab: [`kcb_core::snapshot::Snapshot`]
-//! freezes the providers once on the driver thread, then any number of
-//! request threads share it through an `Arc` with no locks on the hot
-//! path. The crate layers, bottom up:
+//! freezes the providers once, then any number of request threads share
+//! it through an `Arc` with no locks on the hot path. The crate layers,
+//! bottom up:
 //!
 //! - [`protocol`] — the newline-delimited-JSON wire format: request
 //!   parsing, and the reply renderers both serving paths share;
